@@ -85,10 +85,9 @@ def bench_periodic_phase(epochs: int = 200_000, period: int = 1_000) -> Dict[str
 
     sim = Simulator(fast_forward=True)
     metrics = Metrics()
-    sim.ff.register_metrics(metrics)
 
     def loop():
-        src = sim.ff.source("bench:periodic")
+        src = sim.ff.source("bench:periodic", metrics, lambda: None)
         left = epochs
         while left > 0:
             metrics.charge("guest_work", period)

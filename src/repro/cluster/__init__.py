@@ -76,13 +76,12 @@ class Cluster:
         workers: int = 2,
         costs=None,
         fault_plan: Optional[FaultPlan] = None,
-        fast_forward: Optional[bool] = None,
     ) -> None:
         if num_hosts < 1:
             raise ValueError("a cluster needs at least one host")
         self.seed = seed
         self.arch = arch
-        self.sim = Simulator(seed=seed, fast_forward=fast_forward)
+        self.sim = Simulator(seed=seed)
         self.costs = costs if costs is not None else costs_for_arch(arch)
         self.fabric = Fabric(self.sim, self.costs)
         self.policy = make_policy(policy)

@@ -196,7 +196,7 @@ class ClusterHost:
 
         A quiescent host defers this until a tenant, migration, or
         explicit touch needs the stack; until then it contributes zero
-        engine events and no Metrics to fast-forward fingerprints.
+        engine events.
         Accounting stays byte-identical either way: booting only parks
         backend processes on events and never draws the shared RNG or
         writes the cluster trace.
@@ -221,20 +221,12 @@ class ClusterHost:
 
     def shutdown(self) -> None:
         """Tear the system stack down (the power-off half of a kernel
-        upgrade).  Only a tenant-free host may shut down.  The machine's
-        Metrics and fast-forward veto are unregistered so a fleet of
-        upgraded-and-idle hosts stops contributing to every epoch
-        fingerprint — same invalidation discipline as registration."""
+        upgrade).  Only a tenant-free host may shut down."""
         if self.tenants:
             raise ValueError(
                 f"{self.name}: cannot shut down with "
                 f"{len(self.tenants)} tenants aboard"
             )
-        if self.machine is not None:
-            ff = getattr(self._sim, "ff", None)
-            if ff is not None:
-                ff.unregister_metrics(self.machine.metrics)
-                ff.remove_veto(self.machine._ff_veto)
         self.machine = None
         self.stack = None
 

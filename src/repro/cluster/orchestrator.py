@@ -80,23 +80,6 @@ class FabricChannel:
         """Move ``nbytes`` src -> dst, chunk by chunk.  A chunk that hits
         a partition/host-loss window is retried with exponential backoff;
         exhausting the budget raises :class:`MigrationError`."""
-        # Fast-forward: a long pre-copy round is a fixed cadence of
-        # identical full chunks — a periodic source in its own right.
-        # The chunk stream exempts the machines' "migration" veto (it
-        # *is* the migration) but keeps shift_carriers off: any other
-        # live process near a chunk boundary (a dirtying workload, a
-        # timer) blocks the skip via the empty-window check, which is
-        # exactly the safety condition dirty-page logging needs.
-        ff = self.fabric.sim.ff
-        ff_src = (
-            ff.source(
-                f"precopy:{self.src}->{self.dst}",
-                shift_carriers=False,
-                veto_exempt=("migration",),
-            )
-            if ff.enabled
-            else None
-        )
         sent = 0
         while sent < nbytes:
             chunk = min(self.chunk_bytes, nbytes - sent)
@@ -121,24 +104,6 @@ class FabricChannel:
             if attempt:
                 self.fabric.metrics.record_recovery("fabric_retry", attempt)
             sent += chunk
-            if (
-                ff_src is not None
-                and attempt == 0
-                and chunk == self.chunk_bytes
-            ):
-                full_left = (nbytes - sent) // self.chunk_bytes
-                if full_left > 1:
-                    n = ff_src.observe(full_left)
-                    if n:
-                        # The fabric's Metrics (cross_host bytes, frame
-                        # counts) were scaled by the macro-event; the
-                        # per-port/per-wire tallies along the path are
-                        # the fabric's to compensate (spine-leaf fabrics
-                        # also credit their trunks).
-                        sent += n * self.chunk_bytes
-                        self.fabric.ff_precopy_compensate(
-                            self.src, self.dst, n, self.chunk_bytes
-                        )
 
 
 @dataclass

@@ -310,8 +310,7 @@ class LiveMigration:
         # Fast-forward: drop any steady-state fingerprints (the dirty
         # logs just changed what an epoch observes) and veto workload
         # skipping for the duration — a skipped epoch would lose the
-        # re-dirty records pre-copy rounds must drain.  The pre-copy
-        # chunk stream itself exempts this veto (see FabricChannel).
+        # re-dirty records pre-copy rounds must drain.
         sim.ff.perturb("migration")
         self.machine.ff_migrations += 1
 

@@ -16,9 +16,8 @@ virtual-passthrough tenants evacuate cleanly.
 
 Fleets this size stay tractable through quiescent hosts: an idle
 :class:`~repro.cluster.host.ClusterHost` contributes zero engine
-events, no fast-forward fingerprint weight, and no built stack until a
-tenant or migration touches it — with byte-identical control-plane
-accounting either way.
+events and no built stack until a tenant or migration touches it — with
+byte-identical control-plane accounting either way.
 """
 
 from repro.dc.controlplane import ControlPlane, WaveReport

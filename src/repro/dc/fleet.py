@@ -10,12 +10,11 @@ hundreds of hosts:
 * hosts are named ``r{rack}h{idx}`` and attached to a
   :class:`~repro.dc.fabric.SpineLeafFabric` per the spec's topology;
 * with ``quiescent=True`` (the default) hosts are **lazy**: a host
-  contributes zero engine events, no Metrics in fast-forward
-  fingerprints, and no built stack until a tenant, migration, or
-  explicit touch needs it.  Accounting is byte-identical either way —
-  booting parks backend processes on events, never draws the shared
-  RNG, and never writes the event trace — so a 500-host fleet costs
-  what its *active* hosts cost.
+  contributes zero engine events and no built stack until a tenant,
+  migration, or explicit touch needs it.  Accounting is byte-identical
+  either way — booting parks backend processes on events, never draws
+  the shared RNG, and never writes the event trace — so a 500-host
+  fleet costs what its *active* hosts cost.
 
 The :meth:`digest` deliberately covers the control-plane observables
 (event trace, cross-host byte matrix, wave reports) and **not** the
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.host import ClusterHost, Tenant
 from repro.cluster.orchestrator import Orchestrator
@@ -52,12 +51,11 @@ class Datacenter:
         seed: int = 0,
         quiescent: bool = True,
         costs=None,
-        fast_forward: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.seed = seed
         self.quiescent = quiescent
-        self.sim = Simulator(seed=seed, fast_forward=fast_forward)
+        self.sim = Simulator(seed=seed)
         self.costs = costs if costs is not None else default_costs()
         topo = spec.topology
         self.fabric = SpineLeafFabric(

@@ -285,14 +285,6 @@ class TrapChainFuzzer:
 
         return draw_stack_shape(rng, self.levels, self.workers)
 
-    def _episode_grants(self, rng: random.Random, levels, io_model, dvh):
-        """Maybe grant OoH features, drawing only from the combinations
-        StackConfig.validate accepts for this episode's shape (so the
-        fuzzer explores grant *behavior*, not rejected configs)."""
-        from repro.scenarios.generator import draw_grants
-
-        return draw_grants(rng, levels, io_model, dvh)
-
     def _run_once(self, index: int):
         """One full episode execution; returns everything the digest and
         the result need.  Called twice for replay checks."""

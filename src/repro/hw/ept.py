@@ -83,17 +83,6 @@ class Pte:
             f"dirty={self.dirty})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pte):
-            return NotImplemented
-        return (
-            self.target_pfn == other.target_pfn
-            and self.perm == other.perm
-            and self.saved_perm == other.saved_perm
-            and self.dirty == other.dirty
-            and self.accessed == other.accessed
-        )
-
 
 class PageTable:
     """A 4-level radix page table keyed by page frame number.
@@ -111,13 +100,6 @@ class PageTable:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _indices(pfn: int) -> Tuple[int, ...]:
-        idx = []
-        for level in reversed(range(LEVELS)):
-            idx.append((pfn >> (LEVEL_BITS * level)) & ((1 << LEVEL_BITS) - 1))
-        return tuple(idx)
-
     def _leaf_node(self, pfn: int) -> Dict[int, Pte]:
         """The leaf radix node for ``pfn``, creating missing interior
         nodes (unrolled 4-level descent)."""

@@ -94,14 +94,11 @@ class Machine:
         self.nic: PhysicalNic = self.bus.plug(PhysicalNic("eth0", self.wire))
         self.ssd: SsdDevice = self.bus.plug(SsdDevice("ssd0", self.sim, self.costs))
         self.client = RemoteClient(self.sim, self.wire, self.nic, self.costs)
-        # Fast-forward: this machine's counters join every epoch
-        # fingerprint, and any attached observer (auditor, fault
-        # injector, span tracer, chain tracker) vetoes skipping — those
-        # hooks watch mid-epoch state a macro-event would hide.
-        self.sim.ff.register_metrics(self.metrics)
-        self.sim.ff.add_veto(self._ff_veto)
 
     def _ff_veto(self) -> Optional[str]:
+        """Fast-forward veto for the sources bound to this machine: any
+        attached observer (auditor, fault injector, span tracer, chain
+        tracker) watches mid-epoch state a macro-event would hide."""
         if self.audit is not None:
             return "audit"
         if self.faults is not None:

@@ -26,12 +26,14 @@ exit-handler chains in :mod:`repro.hv` nest arbitrarily deep.
 Fast-forward
 ------------
 Each simulator owns a :class:`~repro.sim.fastforward.FastForward` manager
-(``sim.ff``).  Periodic workloads register sources with it; once a source
-proves its epochs identical, it may collapse runs of them through
-:meth:`Simulator.fast_advance`, which jumps the clock over a window that
-contains nothing live.  Cancellable timers (:meth:`Simulator.timer_at`)
-exist so re-armed hrtimers leave only *inert* heap entries behind instead
-of stale closures that would block every fast-forward window.
+(``sim.ff``).  Periodic workloads create sources on it, each bound to
+one machine's Metrics and veto; once a source proves its epochs
+identical, it may collapse runs of them through :meth:`Simulator.ff_shift`,
+which jumps the clock (and the mid-cycle sleepers the source proved
+periodic) over a window that contains nothing else live.  Cancellable
+timers (:meth:`Simulator.timer_at`) exist so re-armed hrtimers leave only
+*inert* heap entries behind instead of stale closures that would block
+every fast-forward window.
 """
 
 from __future__ import annotations
@@ -105,12 +107,6 @@ class Event:
                 ready.append((seq, proc, value))
             sim._seq = seq
             self._waiters = []
-
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.triggered:
-            self.sim._resume(proc, self.value)
-        else:
-            self._waiters.append(proc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "set" if self.triggered else "pending"
@@ -315,47 +311,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Fast-forward primitives
     # ------------------------------------------------------------------
-    def ff_window(self) -> Optional[int]:
-        """Earliest time anything *live* is scheduled; None when nothing
-        is pending at all.  Inert (cancelled) timer handles at the heap
-        top are purged on the way — they cannot affect anything, and a
-        re-arm always supersedes them with a strictly later entry."""
-        if self._ready:
-            return self.now
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            when, _seq, item = heap[0]
-            if item.__class__ is TimerHandle and item.fn is None:
-                heappop(heap)
-                continue
-            return when
-        return None
-
-    def fast_advance(self, cycles: int) -> int:
-        """Jump the clock ``cycles`` forward without executing anything —
-        the macro-event primitive behind fast-forward.  Refuses (raises)
-        if any live work is scheduled inside the window; inert timer
-        handles in the window are purged."""
-        if cycles < 0:
-            raise SimulationError(f"negative fast_advance: {cycles}")
-        if self._ready:
-            raise SimulationError("fast_advance with pending ready work")
-        target = self.now + int(cycles)
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= target:
-            item = heap[0][2]
-            if item.__class__ is TimerHandle and item.fn is None:
-                heappop(heap)
-                continue
-            raise SimulationError(
-                f"fast_advance over live work at {heap[0][0]} "
-                f"(target {target})"
-            )
-        self.now = target
-        return target
-
     def ff_scan(self, horizon: int) -> tuple:
         """Partition the live heap around ``now + horizon`` for the
         fast-forward machinery.

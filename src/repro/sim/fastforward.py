@@ -1,20 +1,22 @@
 """Steady-state fast-forward: epoch-skipping macro-events.
 
-The reproduction's workloads spend most of their simulated time in
-strictly periodic phases — netperf RR round trips, timer re-arm ticks,
-idle poll loops, pre-copy chunk cadences.  The engine normally replays
-every micro-event of every epoch.  This module detects steady state and
-collapses runs of identical epochs into one *macro-event*: the clock
-jumps N periods and the fingerprinted per-epoch :class:`Metrics` deltas
-are applied N times.  The contract is strict equivalence — a run with
+The paper's evaluation spends most of its simulated time in strictly
+periodic phases: the Table 3 micro-op loops and closed-loop netperf RR
+round trips.  The engine normally replays every micro-event of every
+epoch.  This module detects steady state and collapses runs of
+identical epochs into one *macro-event*: the clock jumps N periods and
+the fingerprinted per-epoch :class:`Metrics` deltas are applied N
+times.  The contract is strict equivalence — a run with
 fast-forward enabled produces **byte-identical** metrics, digests, and
 final simulated time as a run without it.
 
 How a source earns a skip
 -------------------------
-A workload registers a :class:`PeriodicSource` and calls
-:meth:`PeriodicSource.observe` at every epoch boundary (for example,
-after each completed transaction).  The source walks a state machine:
+A workload creates a :class:`PeriodicSource` bound to one machine —
+the :class:`~repro.metrics.counters.Metrics` it fingerprints and the
+veto it checks — and calls :meth:`PeriodicSource.observe` at every
+epoch boundary (for example, after each completed transaction).  The
+source walks a state machine:
 
 1. **Cycle lock** — the stream of inter-boundary periods must repeat
    with a small cycle length (the *stride*: 1, 2, or 4 epochs).  Many
@@ -23,12 +25,13 @@ after each completed transaction).  The source walks a state machine:
    grouped into *blocks* of ``stride`` epochs and blocks are the unit of
    fingerprinting and skipping.
 2. **Fingerprint** — with the cycle locked, the per-block deltas of
-   every registered :class:`~repro.metrics.counters.Metrics` object
-   (plus the caller-supplied ``extra`` observables, e.g. the transaction
-   latencies) must be identical for ``confirm`` consecutive blocks.
+   the source's :class:`~repro.metrics.counters.Metrics` (plus the
+   caller-supplied ``extra`` observables, e.g. the transaction
+   latencies) must be identical for ``CONFIRM_BLOCKS`` consecutive
+   blocks.
 3. **Skip** — with a confirmed fingerprint, ``observe`` may collapse
    whole future blocks: it advances the clock via
-   :meth:`Simulator.fast_advance` and applies the fingerprint deltas
+   :meth:`Simulator.ff_shift` and applies the fingerprint deltas
    scaled by the skip count.  The *last* epoch is always executed
    micro-step so terminal state (armed timers, final events) is
    re-established identically to the slow path.
@@ -38,14 +41,15 @@ What blocks a skip
 Skipping is refused — falling back to micro-stepping — whenever epoch
 identity cannot be proven:
 
-* a **veto** holds: span tracing, an attached auditor, a fault injector,
-  or a chain tracker observe mid-epoch state the macro-event would hide;
+* the source's **veto** holds: span tracing, an attached auditor, a
+  fault injector, or a chain tracker observe mid-epoch state the
+  macro-event would hide;
 * a **perturbation** was signalled (:meth:`FastForward.perturb`, e.g. a
   migration starting): the generation counter bump invalidates every
   source's fingerprint;
 * the **window** is too small: anything live on the event heap before
-  ``now + n * period`` (a fabric packet in flight, another process's
-  delay, a *live* armed timer) bounds the jump — only cancelled
+  ``now + n * period`` (another process's delay, a *live* armed
+  timer) bounds the jump — only cancelled
   :class:`~repro.sim.engine.TimerHandle` entries may be jumped over;
 * the simulator's **rng state** changed since the fingerprint was
   confirmed (a draw mid-epoch means epochs are not reproducible).
@@ -101,15 +105,13 @@ def _snap_delta(prev: Dict[str, Dict], cur: Dict[str, Dict]) -> Dict[str, Dict]:
 
 
 class PeriodicSource:
-    """One registered periodic activity (an epoch stream)."""
+    """One periodic activity (an epoch stream) on one machine."""
 
     __slots__ = (
         "ff",
         "name",
-        "confirm",
-        "max_skip",
-        "shift_carriers",
-        "veto_exempt",
+        "metrics",
+        "veto",
         "skipped_extras",
         "_generation",
         "_last_now",
@@ -136,25 +138,17 @@ class PeriodicSource:
         self,
         ff: "FastForward",
         name: str,
-        confirm: int = CONFIRM_BLOCKS,
-        max_skip: Optional[int] = None,
-        shift_carriers: bool = True,
-        veto_exempt: tuple = (),
+        metrics,
+        veto: Callable[[], Optional[str]],
     ) -> None:
         self.ff = ff
         self.name = name
-        self.confirm = confirm
-        #: Optional cap on epochs skipped per macro-event.
-        self.max_skip = max_skip
-        #: Whether mid-cycle sleeper processes may be displaced across a
-        #: skip (see :meth:`Simulator.ff_shift`).  Sources whose epochs
-        #: must not elide *any* concurrent activity (e.g. pre-copy chunk
-        #: streams racing a dirtying workload) set this False, making an
-        #: empty window the only skippable state.
-        self.shift_carriers = shift_carriers
-        #: Veto causes this source may ignore (e.g. the migration veto,
-        #: for the migration's own chunk-cadence source).
-        self.veto_exempt = frozenset(veto_exempt)
+        #: The machine's :class:`Metrics`: its per-epoch deltas are the
+        #: fingerprint and are scaled on every skip.
+        self.metrics = metrics
+        #: Returns a cause string while skipping must be refused (an
+        #: observer is attached to the machine), None otherwise.
+        self.veto = veto
         #: After a skip: the ``extra`` observables of the skipped epochs,
         #: in order, for the caller to replay its own bookkeeping.
         self.skipped_extras: List[Any] = []
@@ -181,12 +175,11 @@ class PeriodicSource:
         self._drop_fingerprint()
         # Stop the float-charge logs too — nobody will drain them until
         # a fingerprint is being confirmed again.
-        for m in self.ff._metrics:
-            m.ff_stop()
+        self.metrics.ff_stop()
 
     def _drop_fingerprint(self) -> None:
-        self._snaps: Optional[List[Dict[str, Dict]]] = None
-        self._delta: Optional[List[Dict[str, Dict]]] = None
+        self._snaps: Optional[Dict[str, Dict]] = None
+        self._delta: Optional[Dict[str, Dict]] = None
         self._delta_streak = 0
         self._block_extras: Any = None
         self._profile: Any = None
@@ -267,15 +260,14 @@ class PeriodicSource:
                 return 0  # mid-block boundary
             self._phase = 0
 
-        # ---- vetoes (checked before paying for snapshots) ---------
-        for veto in ff._vetoes:
-            cause = veto()
-            if cause and cause not in self.veto_exempt:
-                if cause != self._veto_active:
-                    self._veto_active = cause
-                    ff.invalidate(cause)
-                self._drop_fingerprint()
-                return 0
+        # ---- veto (checked before paying for snapshots) ----------
+        cause = self.veto()
+        if cause:
+            if cause != self._veto_active:
+                self._veto_active = cause
+                ff.invalidate(cause)
+            self._drop_fingerprint()
+            return 0
         self._veto_active = None
 
         # ---- 2. fingerprint (at block boundaries only) ------------
@@ -285,10 +277,6 @@ class PeriodicSource:
             # Runnable work at the boundary: not a quiescent point.
             self._drop_fingerprint()
             return 0
-        if carriers and not self.shift_carriers:
-            near = carriers[0][0]
-            window = near if window is None or near < window else window
-            carriers = []
         # The heap profile joins the fingerprint: the mid-cycle sleepers
         # (cycle carriers) must sit at the same offsets every block, and
         # near-term *non*-carrier work (a live timer, a pending callable)
@@ -297,31 +285,29 @@ class PeriodicSource:
             (entry[0] - now, entry[2].name) for entry in carriers
         )
         block_extras = tuple(self._extras)[-stride:]
-        snaps = [m.snapshot() for m in ff._metrics]
-        logs: Any = tuple(m.ff_take_log() for m in ff._metrics)
-        if None in logs:
+        metrics = self.metrics
+        snaps = metrics.snapshot()
+        log = metrics.ff_take_log()
+        if log is None:
             # Logging was off, abandoned (overflow), or stolen by a
             # concurrent source: can't prove float replay this block.
-            logs = None
-            for m in ff._metrics:
-                m.ff_record()
+            metrics.ff_record()
         prev = self._snaps
         self._snaps = snaps
-        if prev is None or len(prev) != len(snaps):
-            for m in ff._metrics:
-                m.ff_record()
+        if prev is None:
+            metrics.ff_record()
             self._block_extras = block_extras
             self._profile = profile
             self._float_log = None
             self._rng_state = sim.rng.getstate()
             return 0
-        delta = [_snap_delta(p, c) for p, c in zip(prev, snaps)]
+        delta = _snap_delta(prev, snaps)
         if (
             delta == self._delta
             and block_extras == self._block_extras
             and profile == self._profile
-            and logs is not None
-            and logs == self._float_log
+            and log is not None
+            and log == self._float_log
         ):
             self._delta_streak += 1
         else:
@@ -331,24 +317,23 @@ class PeriodicSource:
                     # Periodic but never identical: stop paying for
                     # snapshots until the next perturbation resets us.
                     self._disabled = True
-                    for m in ff._metrics:
-                        m.ff_stop()
+                    metrics.ff_stop()
                     ff.invalidate("unstable-delta")
                     return 0
             self._delta = delta
             self._delta_streak = 1
             self._block_extras = block_extras
             self._profile = profile
-            self._float_log = logs
+            self._float_log = log
             self._rng_state = sim.rng.getstate()
             return 0
-        if self._delta_streak == self.confirm:
+        if self._delta_streak == CONFIRM_BLOCKS:
             self.detections += 1
             ff.detections += 1
 
         # ---- 3. skip (whole blocks) -------------------------------
         max_epochs = remaining - 1
-        if self._delta_streak < self.confirm or max_epochs < stride:
+        if self._delta_streak < CONFIRM_BLOCKS or max_epochs < stride:
             return 0
         rng_state = sim.rng.getstate()
         if rng_state != self._rng_state:
@@ -378,15 +363,10 @@ class PeriodicSource:
                 return 0
             if n_window < n:
                 n = n_window
-        if self.max_skip is not None and n > self.max_skip // stride:
-            n = self.max_skip // stride
-        if n <= 0:
-            return 0
         sim.ff_shift(carriers, n * block_period)
-        for metrics, d, flog in zip(ff._metrics, self._delta, self._float_log):
-            metrics.apply_scaled(d, n, flog)
+        metrics.apply_scaled(self._delta, n, self._float_log)
         self._last_now = sim.now
-        self._snaps = [m.snapshot() for m in ff._metrics]
+        self._snaps = metrics.snapshot()
         skipped = n * stride
         self.skipped_extras = list(self._block_extras) * n
         self.epochs_skipped += skipped
@@ -402,14 +382,12 @@ class PeriodicSource:
 
 
 class FastForward:
-    """Per-simulator fast-forward manager: sources, vetoes, counters."""
+    """Per-simulator fast-forward manager: sources and counters."""
 
     __slots__ = (
         "sim",
         "enabled",
         "generation",
-        "_metrics",
-        "_vetoes",
         "sources",
         "epochs_observed",
         "detections",
@@ -425,8 +403,6 @@ class FastForward:
         #: Bumped by :meth:`perturb`; every source checks it at each
         #: boundary and drops its state when it moved.
         self.generation = 0
-        self._metrics: List[Any] = []
-        self._vetoes: List[Callable[[], Optional[str]]] = []
         self.sources: Dict[str, PeriodicSource] = {}
         self.epochs_observed = 0
         self.detections = 0
@@ -436,51 +412,16 @@ class FastForward:
         #: cause -> count of fingerprint invalidations / skip refusals.
         self.invalidations: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    def register_metrics(self, metrics) -> None:
-        """Track a :class:`Metrics` object: its per-epoch deltas join
-        every fingerprint and are scaled on every skip.  Machines and
-        the cluster fabric register theirs at construction."""
-        if metrics not in self._metrics:
-            self._metrics.append(metrics)
-
-    def unregister_metrics(self, metrics) -> None:
-        """Forget a previously registered :class:`Metrics` object (a
-        cluster host being torn down for a kernel upgrade).  Any cached
-        fingerprints are invalidated: their per-metrics deltas indexed
-        the old registration list."""
-        if metrics in self._metrics:
-            self._metrics.remove(metrics)
-            self.invalidate("metrics_unregistered")
-
-    def add_veto(self, veto: Callable[[], Optional[str]]) -> None:
-        """Register a veto callback: return a cause string while
-        skipping must be refused (observer attached), None otherwise."""
-        self._vetoes.append(veto)
-
-    def remove_veto(self, veto: Callable[[], Optional[str]]) -> None:
-        """Drop a veto callback added by :meth:`add_veto` (host
-        teardown).  Unknown callbacks are ignored — teardown paths may
-        run before a machine ever registered."""
-        try:
-            self._vetoes.remove(veto)
-        except ValueError:
-            pass
-
     def source(
-        self,
-        name: str,
-        confirm: int = CONFIRM_BLOCKS,
-        max_skip: Optional[int] = None,
-        shift_carriers: bool = True,
-        veto_exempt: tuple = (),
+        self, name: str, metrics, veto: Callable[[], Optional[str]]
     ) -> PeriodicSource:
-        """Get-or-create the named periodic source."""
+        """Get-or-create the named periodic source, bound to one
+        machine: ``metrics`` is fingerprinted and ``veto`` is checked
+        at every block boundary (e.g. ``machine.metrics`` and
+        ``machine._ff_veto``)."""
         src = self.sources.get(name)
         if src is None:
-            src = PeriodicSource(
-                self, name, confirm, max_skip, shift_carriers, veto_exempt
-            )
+            src = PeriodicSource(self, name, metrics, veto)
             self.sources[name] = src
         return src
 

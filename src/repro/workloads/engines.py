@@ -193,7 +193,7 @@ def run_rr(stack, spec: RRSpec, settle: bool = True) -> AppResult:
         and float(spec.ipi_rate).is_integer()
         and float(spec.timer_rate).is_integer()
     ):
-        ff_src = ff.source(f"rr:{spec.name}")
+        ff_src = ff.source(f"rr:{spec.name}", machine.metrics, machine._ff_veto)
 
     # ------------------------------------------------------------------
     # Client (remote machine, never the bottleneck)

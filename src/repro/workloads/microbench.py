@@ -29,8 +29,9 @@ def _bench_hypercall(stack: Stack, iterations: int) -> float:
     sim = stack.sim
 
     def main():
-        src = sim.ff.source("micro:hypercall")
-        cap = stack.machine.request_capture
+        machine = stack.machine
+        src = sim.ff.source("micro:hypercall", machine.metrics, machine._ff_veto)
+        cap = machine.request_capture
         start = sim.now
         left = iterations
         while left > 0:
@@ -54,8 +55,9 @@ def _bench_devnotify(stack: Stack, iterations: int) -> float:
         raise ValueError("DevNotify needs a virtio network device")
 
     def main():
-        src = sim.ff.source("micro:devnotify")
-        cap = stack.machine.request_capture
+        machine = stack.machine
+        src = sim.ff.source("micro:devnotify", machine.metrics, machine._ff_veto)
+        cap = machine.request_capture
         start = sim.now
         left = iterations
         while left > 0:
@@ -82,8 +84,9 @@ def _bench_program_timer(stack: Stack, iterations: int) -> float:
     far = sim.cycles(0.05)  # deadline far enough not to fire mid-benchmark
 
     def main():
-        src = sim.ff.source("micro:program-timer")
-        cap = stack.machine.request_capture
+        machine = stack.machine
+        src = sim.ff.source("micro:program-timer", machine.metrics, machine._ff_veto)
+        cap = machine.request_capture
         start = sim.now
         left = iterations
         while left > 0:

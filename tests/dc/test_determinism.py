@@ -43,9 +43,11 @@ def test_quiescent_and_eager_fleets_are_byte_identical():
     assert sum(h.boots for h in lazy.hosts) < sum(h.boots for h in eager.hosts)
 
 
-def test_fast_forward_on_and_off_are_byte_identical():
-    on = run_dc(SMALL, seed=1, fast_forward=True)
-    off = run_dc(SMALL, seed=1, fast_forward=False)
+def test_fast_forward_on_and_off_are_byte_identical(monkeypatch):
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "1")
+    on = run_dc(SMALL, seed=1)
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "0")
+    off = run_dc(SMALL, seed=1)
     assert observables(on) == observables(off)
 
 
