@@ -536,6 +536,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.slo:
             stack.machine.enable_request_capture(series=args.name)
         cycles = run_microbenchmark(stack, args.name, args.iterations)
+        if args.json:
+            _print_run_json(
+                args,
+                stack,
+                cycles,
+                "cycles/op",
+                args.iterations,
+                cycles * args.iterations / stack.machine.freq_hz,
+            )
+            return _finish_audit(auditor)
         print(
             f"{args.name} (levels={args.levels}, dvh={args.dvh}): "
             f"{cycles:,.0f} cycles/op"
@@ -600,6 +610,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}")
             return 1
+        if args.json:
+            _print_run_json(
+                args, stack, result.value, result.unit, result.txns, result.elapsed_s
+            )
+            return _finish_audit(auditor)
         arrival = f", arrival={args.arrival}" if args.arrival != "closed" else ""
         print(
             f"{args.name} (levels={args.levels}, io={stack.config.io_model}, "
@@ -619,6 +634,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _finish_audit(auditor)
 
     return 2  # pragma: no cover - argparse enforces the choices
+
+
+def _print_run_json(args, stack, value, unit, txns, elapsed_s) -> None:
+    """``micro`` / ``app`` under ``--json``: one JSON object for the run
+    (``elapsed_s`` is simulated time)."""
+    import json
+
+    print(
+        json.dumps(
+            {
+                "name": args.name,
+                "levels": args.levels,
+                "io": stack.config.io_model,
+                "dvh": args.dvh,
+                "value": value,
+                "unit": unit,
+                "txns": txns,
+                "elapsed_s": elapsed_s,
+            },
+            sort_keys=True,
+        )
+    )
 
 
 def _run_trace(args) -> int:

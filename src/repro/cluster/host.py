@@ -28,7 +28,7 @@ from repro.core.vpassthrough import assign_virtual_device
 from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.machine import GB, Machine
 from repro.hw.mem import PAGE_SIZE
-from repro.hv.passthrough import assign_physical_device, dma_pool_pfns
+from repro.hv.passthrough import assign_physical_device, dma_pool_runs
 from repro.hv.stack import (
     IO_VIRTIO,
     StackConfig,
@@ -380,10 +380,10 @@ class ClusterHost:
         """Nested VM with a real SR-IOV VF — fast, but hardware-coupled."""
         vm = self._nested_vm(spec)
         vf = self.machine.nic.create_vf()
-        pfns = dma_pool_pfns()
-        populate_chain_epts(vm, pfns)
+        runs = dma_pool_runs()
+        populate_chain_epts(vm, runs)
         self.machine.bus.plug(vf)
-        assign_physical_device(self.machine, vf, vm, pfns)
+        assign_physical_device(self.machine, vf, vm, runs)
         return Tenant(spec=spec, host=self.name, vm=vm, devices=[])
 
     def evict(self, name: str) -> Tenant:

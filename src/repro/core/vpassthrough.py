@@ -21,12 +21,12 @@ nothing beyond the normal virtio driver.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.ept import PageTable, Perm
 from repro.hw.ops import ExitReason
-from repro.hv.passthrough import dma_pool_pfns, resolve_many_through_chain
+from repro.hv.passthrough import dma_pool_runs, resolve_many_through_chain
 from repro.hv.viommu import VirtualIommu
 
 __all__ = [
@@ -82,13 +82,15 @@ def assign_virtual_device(
     device: VirtioDevice,
     leaf_vm,
     posted_interrupts: bool = False,
-    pfns: Optional[List[int]] = None,
+    runs: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> VirtualPassthroughAssignment:
     """Perform the virtual-passthrough assignment (setup time).
 
     ``device`` must be provided by L0 (``provider_level == 0``) — that is
     the defining property of virtual-passthrough: the device the nested VM
-    ends up driving is the host hypervisor's.
+    ends up driving is the host hypervisor's.  ``runs`` are the ``(pfn,
+    count)`` runs of leaf pages the device may DMA to (default: the
+    driver DMA pool).
     """
     if device.provider_level != 0:
         raise ValueError(
@@ -98,12 +100,11 @@ def assign_virtual_device(
         )
     l0 = machine.host_hv
     costs = machine.costs
-    if pfns is None:
-        pfns = dma_pool_pfns()
+    runs = dma_pool_runs() if runs is None else list(runs)
 
     # Ensure the chain's EPTs cover the DMA pool (the guest OS allocated
     # these pages long ago; faults would have populated them on demand).
-    populate_chain_epts(leaf_vm, pfns)
+    populate_chain_epts(leaf_vm, runs)
 
     # One virtual IOMMU per hypervisor between L0 and the leaf.
     viommus: List[VirtualIommu] = []
@@ -125,11 +126,12 @@ def assign_virtual_device(
     # next level's mappings; the composed result is the shadow table.
     shadow = PageTable(name=f"vp-shadow:{device.name}")
     levels = leaf_vm.level
-    shadow.map_many_pairs(
-        pfns, resolve_many_through_chain(leaf_vm, pfns), Perm.RW
-    )
+    shadow.map_many(resolve_many_through_chain(leaf_vm, runs), Perm.RW)
     machine.metrics.charge(
-        "setup", costs.shadow_iommu_map_page * (levels - 1) * len(pfns)
+        "setup",
+        costs.shadow_iommu_map_page
+        * (levels - 1)
+        * sum(count for _pfn, count in runs),
     )
     if viommus:
         viommus[0].shadow_tables[device.bdf] = shadow
@@ -143,20 +145,22 @@ def assign_virtual_device(
     return VirtualPassthroughAssignment(device, leaf_vm, viommus, shadow)
 
 
-def populate_chain_epts(leaf_vm, pfns: List[int]) -> None:
-    """Map pool pages at every level: level-m pfn p maps to parent pfn
-    p + m * stride (distinct per level, so translation bugs surface)."""
+def populate_chain_epts(leaf_vm, runs: Iterable[Tuple[int, int]]) -> None:
+    """Map the ``(pfn, count)`` runs of leaf pages at every level:
+    level-m pfn p maps to parent pfn p + m * stride (distinct per level,
+    so translation bugs surface).  Pages already mapped are kept."""
     stride = 1 << 8
+    runs = list(runs)
     vm = leaf_vm
     while vm is not None:
         # The leaf-pfn -> level-m-pfn offset depends only on the levels,
-        # not on the pfn: compute it once per level, not once per page.
+        # not on the pfn: every run shifts by the same amount.
         offset = _chain_pfn(leaf_vm, vm, 0, stride)
-        if offset:
-            keys = [pfn + offset for pfn in pfns]
-        else:
-            keys = pfns
-        vm.ept.map_many_if_absent(keys, vm.level * stride, Perm.RW)
+        vm.ept.map_many_if_absent(
+            [(pfn + offset, count) for pfn, count in runs],
+            vm.level * stride,
+            Perm.RW,
+        )
         vm = vm.manager.vm if vm.manager is not None else None
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "assign_physical_device",
     "MigrationNotSupported",
     "dma_pool_pfns",
+    "dma_pool_runs",
     "resolve_through_chain",
     "resolve_many_through_chain",
 ]
@@ -62,11 +63,26 @@ def dma_pool_pfns(
     """Guest page frames of the standard driver DMA pools (covering every
     multiqueue pool stride).
 
-    The pool layout is a pure function of its parameters and this is
-    called for every stack build, so the computed frame set is cached;
-    callers get a fresh list they are free to mutate.
+    The pool layout is a pure function of its parameters, so the
+    computed frame set is cached; callers get a fresh list they are free
+    to mutate.
     """
     return list(_dma_pool_pfns_cached(buffers, buf_size, queues))
+
+
+@lru_cache(maxsize=16)
+def dma_pool_runs(
+    buffers: int = 128, buf_size: int = 65536, queues: int = 4
+) -> Tuple[Tuple[int, int], ...]:
+    """The frames of :func:`dma_pool_pfns` as ``(first pfn, page count)``
+    runs of consecutive pages (one per queue pool), cached likewise."""
+    runs: List[List[int]] = []
+    for pfn in _dma_pool_pfns_cached(buffers, buf_size, queues):
+        if runs and runs[-1][0] + runs[-1][1] == pfn:
+            runs[-1][1] += 1
+        else:
+            runs.append([pfn, 1])
+    return tuple((pfn, count) for pfn, count in runs)
 
 
 def resolve_through_chain(leaf_vm, pfn: int) -> int:
@@ -85,17 +101,27 @@ def resolve_through_chain(leaf_vm, pfn: int) -> int:
     return current
 
 
-def resolve_many_through_chain(leaf_vm, pfns: Iterable[int]) -> List[int]:
-    """Batch :func:`resolve_through_chain`: one pass per nesting level,
-    with the radix walk amortized over pfns sharing a leaf node."""
-    current = list(pfns)
+def resolve_many_through_chain(
+    leaf_vm, runs: Iterable[Tuple[int, int]]
+) -> List[Tuple[int, int, int]]:
+    """Batch :func:`resolve_through_chain` over ``(pfn, count)`` runs of
+    leaf pages: one pass per nesting level, each run split wherever the
+    level's EPT extents split it.  Returns ``(leaf pfn, count, host
+    pfn)`` runs, ready for :meth:`~repro.hw.ept.PageTable.map_many`."""
+    current = [(pfn, count, pfn) for pfn, count in runs]
     vm = leaf_vm
     while vm is not None:
-        ptes = vm.ept.lookup_many(current)
-        if None in ptes:
-            pfn = current[ptes.index(None)]
-            raise KeyError(f"{vm.name}: pfn {pfn:#x} not mapped in its EPT")
-        current = [pte.target_pfn for pte in ptes]
+        resolved = []
+        for leaf, count, pfn in current:
+            expect = pfn
+            for start, n, target, _perm in vm.ept.extents(pfn, count):
+                if start != expect:
+                    break
+                resolved.append((leaf + (start - pfn), n, target))
+                expect = start + n
+            if expect != pfn + count:
+                raise KeyError(f"{vm.name}: pfn {expect:#x} not mapped in its EPT")
+        current = resolved
         vm = vm.manager.vm if vm.manager is not None else None
     return current
 
@@ -104,14 +130,15 @@ def assign_physical_device(
     machine,
     device: PciDevice,
     leaf_vm,
-    pfns: Iterable[int],
+    runs: Iterable[Tuple[int, int]],
 ) -> PageTable:
     """Assign a physical device (e.g. an SR-IOV VF) to ``leaf_vm``.
 
-    Builds the physical IOMMU domain with composed mappings and maps the
-    device BARs through without trapping.  Marks the VM (and every VM on
-    its chain) as having a hardware dependency, which blocks migration.
-    Returns the IOMMU domain table.
+    Builds the physical IOMMU domain with composed mappings for the
+    ``(pfn, count)`` runs of leaf pages and maps the device BARs through
+    without trapping.  Marks the VM (and every VM on its chain) as having
+    a hardware dependency, which blocks migration.  Returns the IOMMU
+    domain table.
     """
     costs = machine.costs
     device.assigned_to = leaf_vm
@@ -121,12 +148,11 @@ def assign_physical_device(
             leaf_vm.map_mmio_no_trap(bar.base, bar.size)
     domain = machine.iommu.attach(device)
     levels = leaf_vm.level
-    pfn_list = list(pfns)
-    domain.map_many(
-        zip(pfn_list, resolve_many_through_chain(leaf_vm, pfn_list)), Perm.RW
-    )
+    runs = list(runs)
+    domain.map_many(resolve_many_through_chain(leaf_vm, runs), Perm.RW)
     machine.metrics.charge(
-        "setup", costs.shadow_iommu_map_page * levels * len(pfn_list)
+        "setup",
+        costs.shadow_iommu_map_page * levels * sum(count for _pfn, count in runs),
     )
     # VT-d posted interrupts straight to the leaf's first vCPU.
     if leaf_vm.vcpus:

@@ -35,7 +35,7 @@ from repro.hv.blk_backend import (
     VirtioBlkDriver,
 )
 from repro.hv.kvm import KvmHypervisor
-from repro.hv.passthrough import assign_physical_device, dma_pool_pfns
+from repro.hv.passthrough import assign_physical_device, dma_pool_runs
 from repro.hv.profiles import PROFILES
 from repro.hv.virtio_backend import (
     GuestVhost,
@@ -281,11 +281,11 @@ def _build_virtualized(stack: Stack) -> Stack:
     flow = config.flow
     if config.io_model == IO_PASSTHROUGH:
         vf = machine.nic.create_vf()
-        pfns = dma_pool_pfns()
-        populate_chain_epts(leaf_vm, pfns)
+        runs = dma_pool_runs()
+        populate_chain_epts(leaf_vm, runs)
         # BAR address must exist before mapping it through.
         machine.bus.plug(vf)
-        assign_physical_device(machine, vf, leaf_vm, pfns)
+        assign_physical_device(machine, vf, leaf_vm, runs)
         stack.net = VfNicDriver(stack.ctxs[0], vf, flow)
     elif config.io_model == IO_VIRTUAL_PASSTHROUGH:
         dev = VirtioDevice(

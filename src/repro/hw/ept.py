@@ -1,8 +1,7 @@
 """Extended page tables (EPT) and address-translation machinery.
 
-A real 4-level radix page table over 4 KiB pages, mapping guest-physical
-page frames to parent-physical page frames with permissions.  The same
-structure backs:
+A page table maps guest-physical page frames (4 KiB pages) to
+parent-physical page frames with permissions.  The same structure backs:
 
 * the EPT the host hypervisor builds for each of its VMs,
 * the *shadow* EPT L0 builds for nested VMs (composition of per-level
@@ -10,30 +9,27 @@ structure backs:
 * IOMMU DMA translation tables and the shadow IOMMU tables that make
   (virtual-) passthrough work (Sections 3.1, 3.5).
 
+Mappings are stored as sorted *extents*: runs of consecutive pfns that
+map to consecutive target pfns with one permission.  The driver DMA
+pools every stack maps are a handful of long runs, so a table holding
+16,384 pages typically holds eight extents.  Per-page state is kept
+only where pages diverge from their extent: the dirty and accessed bits
+live in small per-table sets.  The table models *what* translates, not
+how long a walk takes; callers charge walk latency as flat costs (for
+example ``vp_nested_ept_walk``).
+
 Write-protection supports dirty logging for live migration.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.hw.mem import PAGE_SHIFT
 
 __all__ = ["Perm", "EptViolation", "PageTable", "compose"]
-
-#: Bits of page-frame number consumed per radix level (9 bits, x86-style).
-LEVEL_BITS = 9
-LEVELS = 4
-
-# Precomputed shifts/mask for the (hot) unrolled 4-level walk.  The walk
-# implementations below are hand-unrolled for LEVELS == 4; the constants
-# stay the single source of truth for the geometry.
-_S3 = LEVEL_BITS * 3
-_S2 = LEVEL_BITS * 2
-_S1 = LEVEL_BITS
-_MASK = (1 << LEVEL_BITS) - 1
-assert LEVELS == 4, "walks below are unrolled for a 4-level table"
 
 
 class Perm(enum.IntFlag):
@@ -58,7 +54,9 @@ class EptViolation(Exception):
 
 
 class Pte:
-    """A leaf page-table entry."""
+    """A snapshot of one page's entry, as :meth:`PageTable.lookup` and
+    :meth:`PageTable.entries` report it; changing it does not change the
+    table."""
 
     __slots__ = ("target_pfn", "perm", "saved_perm", "dirty", "accessed")
 
@@ -84,213 +82,203 @@ class Pte:
         )
 
 
-class PageTable:
-    """A 4-level radix page table keyed by page frame number.
+#: One extent: ``(count, target_pfn, perm, saved_perm)``; its first pfn
+#: sits at the same index of the parallel ``_starts`` list.
+_Extent = Tuple[int, int, Perm, Optional[Perm]]
 
-    The radix nodes are real nested dicts, so a translation performs an
-    actual multi-level walk — the walk depth is observable (and charged
-    by callers that model walk latency).
+
+class PageTable:
+    """A page table stored as sorted, non-overlapping extents.
+
+    ``_starts[i]`` is the first pfn of extent ``_exts[i]``; lookups
+    bisect over ``_starts``.  Adjacent extents that continue each other
+    (contiguous targets, equal permissions) are merged, so mapping a run
+    page by page or all at once ends in the same storage.
     """
 
     def __init__(self, name: str = "ept") -> None:
         self.name = name
-        self._root: Dict[int, dict] = {}
+        self._starts: List[int] = []
+        self._exts: List[_Extent] = []
         self._count = 0
+        #: Per-page overlays: pages whose dirty / accessed bit is set.
+        self._dirty: Set[int] = set()
+        self._accessed: Set[int] = set()
+
+    # ------------------------------------------------------------------
+    # Storage primitives
+    # ------------------------------------------------------------------
+    def _find(self, pfn: int) -> int:
+        """Index of the extent holding ``pfn``, or -1."""
+        i = bisect_right(self._starts, pfn) - 1
+        if i >= 0 and pfn < self._starts[i] + self._exts[i][0]:
+            return i
+        return -1
+
+    def _split(self, pfn: int) -> None:
+        """Make ``pfn`` the first page of an extent if it falls inside one."""
+        i = self._find(pfn)
+        if i < 0 or self._starts[i] == pfn:
+            return
+        count, target, perm, saved = self._exts[i]
+        head = pfn - self._starts[i]
+        self._exts[i] = (head, target, perm, saved)
+        self._starts.insert(i + 1, pfn)
+        self._exts.insert(i + 1, (count - head, target + head, perm, saved))
+
+    def _isolate(self, pfn: int) -> int:
+        """Split mapped page ``pfn`` into an extent of its own; returns
+        that extent's index."""
+        self._split(pfn)
+        self._split(pfn + 1)
+        return self._find(pfn)
+
+    def _merge(self, i: int) -> None:
+        """Merge extent ``i`` with the neighbours it continues."""
+        starts, exts = self._starts, self._exts
+        for j in (i, i - 1):  # (i, i+1) first, so index i-1 stays valid
+            if 0 <= j and j + 1 < len(starts):
+                c0, t0, p0, s0 = exts[j]
+                c1, t1, p1, s1 = exts[j + 1]
+                if (
+                    starts[j] + c0 == starts[j + 1]
+                    and t0 + c0 == t1
+                    and p0 == p1
+                    and s0 == s1
+                ):
+                    exts[j] = (c0 + c1, t0, p0, s0)
+                    del starts[j + 1], exts[j + 1]
+
+    @staticmethod
+    def _drop(flags: Set[int], pfn: int, count: int) -> None:
+        """Remove ``[pfn, pfn + count)`` from a per-page overlay set."""
+        if not flags:
+            return
+        if count < len(flags):
+            flags.difference_update(range(pfn, pfn + count))
+        else:
+            end = pfn + count
+            flags.difference_update([p for p in flags if pfn <= p < end])
+
+    def _forget(self, pfn: int, count: int) -> None:
+        """Drop the per-page overlay bits of ``[pfn, pfn + count)``."""
+        self._drop(self._dirty, pfn, count)
+        self._drop(self._accessed, pfn, count)
+
+    def _map_range(self, pfn: int, count: int, target_pfn: int, perm: Perm) -> None:
+        """Map ``pfn + i -> target_pfn + i`` for ``i < count`` with fresh
+        entries, replacing whatever mapped those pages before."""
+        if perm == Perm.NONE:
+            raise ValueError("cannot map with empty permissions")
+        if count <= 0:
+            return
+        end = pfn + count
+        self._split(pfn)
+        self._split(end)
+        starts, exts = self._starts, self._exts
+        lo = bisect_left(starts, pfn)
+        hi = bisect_left(starts, end)
+        self._count += count - sum(e[0] for e in exts[lo:hi])
+        starts[lo:hi] = [pfn]
+        exts[lo:hi] = [(count, target_pfn, perm, None)]
+        self._forget(pfn, count)
+        self._merge(lo)
+
+    def _fill(self, pfn: int, count: int, target_pfn: int, perm: Perm) -> int:
+        """:meth:`_map_range` restricted to the pages of the range that
+        have no entry yet; returns how many it mapped."""
+        if perm == Perm.NONE:
+            raise ValueError("cannot map with empty permissions")
+        gaps = []
+        cur = pfn
+        for start, n, _target, _perm in self.extents(pfn, count):
+            if start > cur:
+                gaps.append((cur, start - cur))
+            cur = start + n
+        if cur < pfn + count:
+            gaps.append((cur, pfn + count - cur))
+        for gap, n in gaps:
+            self._map_range(gap, n, target_pfn + (gap - pfn), perm)
+        return sum(n for _gap, n in gaps)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _leaf_node(self, pfn: int) -> Dict[int, Pte]:
-        """The leaf radix node for ``pfn``, creating missing interior
-        nodes (unrolled 4-level descent)."""
-        node = self._root
-        nxt = node.get((pfn >> _S3) & _MASK)
-        if nxt is None:
-            nxt = node[(pfn >> _S3) & _MASK] = {}
-        node = nxt
-        nxt = node.get((pfn >> _S2) & _MASK)
-        if nxt is None:
-            nxt = node[(pfn >> _S2) & _MASK] = {}
-        node = nxt
-        nxt = node.get((pfn >> _S1) & _MASK)
-        if nxt is None:
-            nxt = node[(pfn >> _S1) & _MASK] = {}
-        return nxt
-
     def map(self, pfn: int, target_pfn: int, perm: Perm = Perm.RWX) -> None:
         """Map guest pfn -> target pfn with permissions."""
-        if perm == Perm.NONE:
-            raise ValueError("cannot map with empty permissions")
-        node = self._leaf_node(pfn)
-        leaf = pfn & _MASK
-        if leaf not in node:
-            self._count += 1
-        node[leaf] = Pte(target_pfn, perm)
+        self._map_range(pfn, 1, target_pfn, perm)
 
     def map_if_absent(self, pfn: int, target_pfn: int, perm: Perm = Perm.RWX) -> bool:
-        """Map only if ``pfn`` has no entry yet; returns whether it
-        mapped.  One walk instead of the ``in`` + :meth:`map` pair."""
-        if perm == Perm.NONE:
-            raise ValueError("cannot map with empty permissions")
-        node = self._leaf_node(pfn)
-        leaf = pfn & _MASK
-        if leaf in node:
-            return False
-        node[leaf] = Pte(target_pfn, perm)
-        self._count += 1
-        return True
+        """Map only if ``pfn`` has no entry yet; returns whether it mapped."""
+        return self._fill(pfn, 1, target_pfn, perm) == 1
 
-    def map_many(self, items, perm: Perm = Perm.RWX) -> None:
-        """Map ``(pfn, target_pfn)`` pairs, amortizing the radix walk
-        across consecutive pfns that share a leaf node (a big win for
-        the sorted, mostly contiguous DMA-pool ranges)."""
-        if perm == Perm.NONE:
-            raise ValueError("cannot map with empty permissions")
-        prev_hi = -1
-        node: Dict[int, Pte] = {}
-        added = 0
-        for pfn, target_pfn in items:
-            hi = pfn >> _S1
-            if hi != prev_hi:
-                node = self._leaf_node(pfn)
-                prev_hi = hi
-            leaf = pfn & _MASK
-            if leaf not in node:
-                added += 1
-            node[leaf] = Pte(target_pfn, perm)
-        self._count += added
+    def map_many(
+        self, runs: Iterable[Tuple[int, int, int]], perm: Perm = Perm.RWX
+    ) -> None:
+        """Map ``(pfn, count, target_pfn)`` runs: each maps ``count``
+        consecutive pages onto consecutive targets."""
+        for pfn, count, target_pfn in runs:
+            self._map_range(pfn, count, target_pfn, perm)
 
     def map_many_pairs(
         self, pfns: List[int], targets: List[int], perm: Perm = Perm.RWX
     ) -> None:
-        """:meth:`map_many` over parallel ``pfns`` / ``targets`` lists:
-        leaf-node runs are found by scanning the pfn list alone and each
-        run lands in one bulk dict update — the fast path for building
-        shadow tables over the (sorted) DMA pool."""
-        if perm == Perm.NONE:
-            raise ValueError("cannot map with empty permissions")
+        """:meth:`map` over parallel ``pfns`` / ``targets`` lists."""
         if len(pfns) != len(targets):
             raise ValueError("pfns and targets must have the same length")
-        i, n = 0, len(pfns)
-        while i < n:
-            pfn0 = pfns[i]
-            hi = pfn0 >> _S1
-            j = i + 1
-            while j < n and (pfns[j] >> _S1) == hi:
-                j += 1
-            node = self._leaf_node(pfn0)
-            before = len(node)
-            node.update(
-                {
-                    p & _MASK: Pte(t, perm)
-                    for p, t in zip(pfns[i:j], targets[i:j])
-                }
-            )
-            self._count += len(node) - before
-            i = j
+        self.map_many([(p, 1, t) for p, t in zip(pfns, targets)], perm)
 
-    def map_many_if_absent(self, pfns, delta: int, perm: Perm = Perm.RWX) -> int:
-        """Map ``pfn -> pfn + delta`` for every pfn without an entry yet
-        (existing entries are kept); returns how many were added.  Same
-        leaf-node run batching as :meth:`map_many`, with a bulk path for
-        the common fresh-node case."""
-        if perm == Perm.NONE:
-            raise ValueError("cannot map with empty permissions")
-        pfns = pfns if isinstance(pfns, list) else list(pfns)
-        added = 0
-        i, n = 0, len(pfns)
-        while i < n:
-            pfn0 = pfns[i]
-            hi = pfn0 >> _S1
-            j = i + 1
-            while j < n and (pfns[j] >> _S1) == hi:
-                j += 1
-            node = self._leaf_node(pfn0)
-            if node:
-                for pfn in pfns[i:j]:
-                    leaf = pfn & _MASK
-                    if leaf not in node:
-                        node[leaf] = Pte(pfn + delta, perm)
-                        added += 1
-            else:
-                node.update({p & _MASK: Pte(p + delta, perm) for p in pfns[i:j]})
-                added += len(node)
-            i = j
-        self._count += added
-        return added
+    def map_many_if_absent(
+        self, runs: Iterable[Tuple[int, int]], delta: int, perm: Perm = Perm.RWX
+    ) -> int:
+        """Map ``pfn -> pfn + delta`` for every page of the ``(pfn,
+        count)`` runs that has no entry yet (existing entries are kept);
+        returns how many were added."""
+        return sum(self._fill(pfn, count, pfn + delta, perm) for pfn, count in runs)
 
-    def lookup_many(self, pfns) -> "List[Optional[Pte]]":
-        """Batch :meth:`lookup` with one walk per run of pfns sharing a
-        leaf node and a bulk gather per run."""
-        pfns = pfns if isinstance(pfns, list) else list(pfns)
-        out: List[Optional[Pte]] = []
-        extend = out.extend
-        root = self._root
-        i, n = 0, len(pfns)
-        while i < n:
-            pfn0 = pfns[i]
-            hi = pfn0 >> _S1
-            j = i + 1
-            while j < n and (pfns[j] >> _S1) == hi:
-                j += 1
-            node = root.get((pfn0 >> _S3) & _MASK)
-            if node is not None:
-                node = node.get((pfn0 >> _S2) & _MASK)
-                if node is not None:
-                    node = node.get(hi & _MASK)
-            if node is None:
-                extend([None] * (j - i))
-            else:
-                get = node.get
-                extend([get(p & _MASK) for p in pfns[i:j]])
-            i = j
-        return out
+    def lookup_many(self, pfns: Iterable[int]) -> "List[Optional[Pte]]":
+        """:meth:`lookup` over many pfns."""
+        return [self.lookup(pfn) for pfn in pfns]
 
     def unmap(self, pfn: int) -> bool:
         """Remove a mapping; returns whether it existed."""
-        node = self._root.get((pfn >> _S3) & _MASK)
-        if node is None:
+        if self._find(pfn) < 0:
             return False
-        node = node.get((pfn >> _S2) & _MASK)
-        if node is None:
-            return False
-        node = node.get((pfn >> _S1) & _MASK)
-        if node is None:
-            return False
-        leaf = pfn & _MASK
-        if leaf in node:
-            del node[leaf]
-            self._count -= 1
-            return True
-        return False
+        i = self._isolate(pfn)
+        del self._starts[i], self._exts[i]
+        self._count -= 1
+        self._forget(pfn, 1)
+        return True
 
     # ------------------------------------------------------------------
     # Translation
     # ------------------------------------------------------------------
     def lookup(self, pfn: int) -> Optional[Pte]:
-        """Walk the table; returns the PTE or None.  No permission check."""
-        node = self._root.get((pfn >> _S3) & _MASK)
-        if node is None:
+        """A snapshot of ``pfn``'s entry, or None.  No permission check."""
+        i = self._find(pfn)
+        if i < 0:
             return None
-        node = node.get((pfn >> _S2) & _MASK)
-        if node is None:
-            return None
-        node = node.get((pfn >> _S1) & _MASK)
-        if node is None:
-            return None
-        return node.get(pfn & _MASK)
+        _count, target, perm, saved = self._exts[i]
+        return Pte(
+            target + (pfn - self._starts[i]),
+            perm,
+            saved,
+            pfn in self._dirty,
+            pfn in self._accessed,
+        )
 
     def translate(self, pfn: int, access: Perm = Perm.R) -> int:
         """Translate with permission enforcement; raises EptViolation."""
-        pte = self.lookup(pfn)
-        if pte is None:
+        i = self._find(pfn)
+        if i < 0:
             raise EptViolation(pfn, access, "not mapped")
-        if access & ~pte.perm:
-            raise EptViolation(pfn, access, f"permission {pte.perm!r}")
-        pte.accessed = True
+        _count, target, perm, _saved = self._exts[i]
+        if access & ~perm:
+            raise EptViolation(pfn, access, f"permission {perm!r}")
+        self._accessed.add(pfn)
         if access & Perm.W:
-            pte.dirty = True
-        return pte.target_pfn
+            self._dirty.add(pfn)
+        return target + (pfn - self._starts[i])
 
     def translate_addr(self, addr: int, access: Perm = Perm.R) -> int:
         """Translate a byte address (page offset preserved)."""
@@ -302,56 +290,65 @@ class PageTable:
     # ------------------------------------------------------------------
     def write_protect_all(self) -> int:
         """Remove W from every mapping (start of a dirty-logging round).
-        Returns the number of entries protected."""
+        Returns the number of pages protected."""
         n = 0
-        for pfn, pte in self.entries():
-            if pte.perm & Perm.W:
-                pte.saved_perm = pte.perm
-                pte.perm = pte.perm & ~Perm.W
-                pte.dirty = False
-                n += 1
+        for i, (count, target, perm, _saved) in enumerate(self._exts):
+            if perm & Perm.W:
+                self._exts[i] = (count, target, perm & ~Perm.W, perm)
+                self._drop(self._dirty, self._starts[i], count)
+                n += count
         return n
 
     def unprotect(self, pfn: int) -> None:
         """Restore W on one page (after logging the dirty page)."""
-        pte = self.lookup(pfn)
-        if pte is not None and pte.saved_perm is not None:
-            pte.perm = pte.saved_perm
-            pte.saved_perm = None
-            pte.dirty = True
+        i = self._find(pfn)
+        if i < 0 or self._exts[i][3] is None:
+            return
+        i = self._isolate(pfn)
+        count, target, _perm, saved = self._exts[i]
+        self._exts[i] = (count, target, saved, None)
+        self._dirty.add(pfn)
+        self._merge(i)
 
     def dirty_pages(self) -> Iterator[int]:
-        """PFNs whose PTE dirty bit is set."""
-        for pfn, pte in self.entries():
-            if pte.dirty:
-                yield pfn
+        """PFNs whose dirty bit is set, in pfn order."""
+        yield from sorted(self._dirty)
 
     def clear_dirty(self) -> None:
-        for _pfn, pte in self.entries():
-            pte.dirty = False
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
+    def extents(
+        self, pfn: int = 0, count: Optional[int] = None
+    ) -> Iterator[Tuple[int, int, int, Perm]]:
+        """Yield ``(pfn, count, target_pfn, perm)`` for every extent in
+        pfn order, clipped to ``[pfn, pfn + count)`` when a range is
+        given (the whole table from ``pfn`` on when ``count`` is None)."""
+        starts, exts = self._starts, self._exts
+        end = None if count is None else pfn + count
+        for i in range(max(bisect_right(starts, pfn) - 1, 0), len(starts)):
+            start = starts[i]
+            if end is not None and start >= end:
+                break
+            n, target, perm, _saved = exts[i]
+            lo = max(start, pfn)
+            hi = start + n if end is None else min(start + n, end)
+            if lo < hi:
+                yield lo, hi - lo, target + (lo - start), perm
+
     def entries(self) -> Iterator[Tuple[int, Pte]]:
-        """Yield (pfn, pte) for every mapping."""
-
-        def walk(node: Dict[int, dict], depth: int, prefix: int):
-            for idx in sorted(node):
-                child = node[idx]
-                pfn_part = (prefix << LEVEL_BITS) | idx
-                if depth == LEVELS - 1:
-                    yield pfn_part, child
-                else:
-                    yield from walk(child, depth + 1, pfn_part)
-
-        yield from walk(self._root, 0, 0)
+        """Yield (pfn, pte snapshot) for every mapped page, in pfn order."""
+        for start, count, _target, _perm in self.extents():
+            for pfn in range(start, start + count):
+                yield pfn, self.lookup(pfn)
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, pfn: int) -> bool:
-        return self.lookup(pfn) is not None
+        return self._find(pfn) >= 0
 
 
 def compose(outer: PageTable, inner: PageTable, name: str = "shadow") -> PageTable:
@@ -364,15 +361,13 @@ def compose(outer: PageTable, inner: PageTable, name: str = "shadow") -> PageTab
     to L1 VM physical addresses.
 
     Permissions intersect.  Inner mappings whose target is not present in
-    ``outer`` are skipped (they fault on demand at use time).
+    ``outer`` are skipped (they fault on demand at use time).  Each inner
+    extent is intersected with the outer extents its targets fall in.
     """
     shadow = PageTable(name=name)
-    for pfn, pte in inner.entries():
-        outer_pte = outer.lookup(pte.target_pfn)
-        if outer_pte is None:
-            continue
-        perm = pte.perm & outer_pte.perm
-        if perm == Perm.NONE:
-            continue
-        shadow.map(pfn, outer_pte.target_pfn, perm)
+    for pfn, count, target, perm in inner.extents():
+        for opfn, ocount, otarget, operm in outer.extents(target, count):
+            joint = perm & operm
+            if joint != Perm.NONE:
+                shadow.map_many([(pfn + (opfn - target), ocount, otarget)], joint)
     return shadow

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,6 +25,28 @@ def test_micro_dvh_preset(capsys):
     # DVH virtual timer: a few thousand cycles, not tens of thousands.
     value = int(out.split(":")[1].split("cycles")[0].strip().replace(",", ""))
     assert value < 10_000
+
+
+@pytest.mark.parametrize(
+    "argv, unit",
+    [
+        (["micro", "Hypercall", "--levels", "1", "--iterations", "5", "--slo"],
+         "cycles/op"),
+        (["app", "netperf_rr", "--levels", "2", "--io", "vp", "--scale", "0.1",
+          "--report"], "trans/s"),
+    ],
+)
+def test_micro_and_app_print_one_json_object(capsys, argv, unit):
+    """--json replaces the text line (and any --slo/--report tables) with
+    one JSON object."""
+    assert main(argv + ["--json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert sorted(row) == [
+        "dvh", "elapsed_s", "io", "levels", "name", "txns", "unit", "value",
+    ]
+    assert row["name"] == argv[1] and row["unit"] == unit
+    assert row["levels"] == int(argv[3]) and row["dvh"] == "none"
+    assert row["value"] > 0 and row["txns"] > 0 and row["elapsed_s"] > 0
 
 
 def test_app_command_with_report(capsys):

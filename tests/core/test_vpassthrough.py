@@ -90,9 +90,9 @@ def test_nested_vm_unmodified():
 
 def test_populate_chain_epts_idempotent():
     stack = build_stack(StackConfig(levels=2, io_model="virtio"))
-    populate_chain_epts(stack.leaf_vm, [0x100, 0x101])
+    populate_chain_epts(stack.leaf_vm, [(0x100, 2)])
     size_before = len(stack.leaf_vm.ept)
-    populate_chain_epts(stack.leaf_vm, [0x100, 0x101])
+    populate_chain_epts(stack.leaf_vm, [(0x100, 2)])
     assert len(stack.leaf_vm.ept) == size_before
 
 
@@ -104,6 +104,6 @@ def test_scalability_many_devices_one_host():
         dev = VirtioDevice(f"extra{i}", provider_level=0)
         stack.machine.bus.plug(dev)
         assignment = assign_virtual_device(
-            stack.machine, dev, stack.leaf_vm, pfns=[0x2000 + i]
+            stack.machine, dev, stack.leaf_vm, runs=[(0x2000 + i, 1)]
         )
         assert assignment.shadow is not None
