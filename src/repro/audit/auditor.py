@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.audit.checks import (
     fabric_conservation_violations,
@@ -29,6 +29,7 @@ from repro.audit.checks import (
     orphaned_process_violations,
     span_reconciliation_violations,
 )
+from repro.hw.mem import PageRuns
 
 __all__ = ["Auditor", "AuditReport", "AuditViolation"]
 
@@ -91,7 +92,7 @@ class _MigrationAudit:
         #: successful migration this must be empty at the end — a page
         #: drained for the convergence check and then forgotten would be
         #: silently absent from the destination.
-        self.outstanding: Set[int] = set()
+        self.outstanding = PageRuns()
 
 
 class Auditor:
@@ -177,14 +178,14 @@ class Auditor:
             )
         self._open[id(vm)] = _MigrationAudit(vm, cpu_log, device_logs, backends)
 
-    def on_pages_drained(self, vm, pages: Set[int]) -> None:
+    def on_pages_drained(self, vm, pages: AbstractSet[int]) -> None:
         state = self._open.get(id(vm))
         if state is None:
             return
         self.observed["pages_drained"] += len(pages)
         state.outstanding |= pages
 
-    def on_pages_copied(self, vm, pages: Set[int]) -> None:
+    def on_pages_copied(self, vm, pages: AbstractSet[int]) -> None:
         state = self._open.get(id(vm))
         if state is None:
             return

@@ -28,9 +28,9 @@ the downtime budget, then stop-and-copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Set
+from typing import Generator, List, Optional
 
-from repro.hw.mem import PAGE_SIZE, DirtyLog
+from repro.hw.mem import PAGE_SIZE, DirtyLog, PageRuns
 from repro.hw.pci import Capability, CapabilityId, PciDevice
 from repro.hw.vmx import VmcsField
 from repro.hv.passthrough import MigrationNotSupported
@@ -110,6 +110,14 @@ def set_device_dirty_logging(device: PciDevice, backend, log: Optional[DirtyLog]
         cap.registers["ctrl"] & ~0x2
     )
     backend.dirty_log = log
+
+
+def _drain_all(cpu_log: DirtyLog, device_logs: List[DirtyLog]) -> PageRuns:
+    """Drain the CPU and device dirty logs into one run set."""
+    drained = cpu_log.drain()
+    for log in device_logs:
+        drained |= log.drain()
+    return drained
 
 
 # ----------------------------------------------------------------------
@@ -357,12 +365,10 @@ class LiveMigration:
         # --- Iterative pre-copy --------------------------------------
         # Pages drained for the convergence check but not re-copied yet
         # must carry into stop-and-copy, or they'd be silently lost.
-        pending: Set[int] = set()
+        pending = PageRuns()
         converged = False
         while rounds < self.max_rounds:
-            drained = set(cpu_log.drain())
-            for log in device_logs:
-                drained |= log.drain()
+            drained = _drain_all(cpu_log, device_logs)
             pending |= drained
             yield from self._track_dirty(len(drained))
             if audit is not None and drained:
@@ -378,15 +384,13 @@ class LiveMigration:
             rounds += 1
             if audit is not None and pending:
                 audit.on_pages_copied(self.vm, pending)
-            pending = set()
+            pending = PageRuns()
             yield from self._transfer(nbytes)
 
         # --- Stop and copy --------------------------------------------
         for _device, backend in backends:
             backend.pause()
-        drained = set(cpu_log.drain())
-        for log in device_logs:
-            drained |= log.drain()
+        drained = _drain_all(cpu_log, device_logs)
         # Tracking cost of this batch accrued while the VM was still
         # running — charge it before the downtime clock starts.
         yield from self._track_dirty(len(drained))

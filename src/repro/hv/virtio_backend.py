@@ -518,9 +518,7 @@ class HostVhost:
                         addr, min(packet.size, PAGE_SIZE * 16)
                     )
                     if self.dirty_log is not None:
-                        self.dirty_log.pages.update(
-                            range(addr >> 12, ((addr + packet.size - 1) >> 12) + 1)
-                        )
+                        self.dirty_log.mark_range(addr, packet.size)
                     rxq.push_used(desc_id, packet.size, payload=packet.payload)
                     driver = self.device.bound_driver
                     if driver is not None:

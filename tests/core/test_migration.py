@@ -75,6 +75,25 @@ def test_dirty_logging_through_capability():
     assert backend.dirty_log is None
 
 
+def test_zero_length_dma_into_unaligned_buffer_dirties_nothing():
+    """The backend logs DMA pages as ``pages_in_range`` does: a
+    zero-length receive writes no page, wherever its buffer starts."""
+    stack = make_dvh()
+    dev = stack.net.device
+    backend = stack.machine.host_hv.backends[dev]
+    log = DirtyLog()
+    set_device_dirty_logging(dev, backend, log)
+    rxq = dev.rx_q(0)
+    buf = rxq.desc[rxq.avail_ring[rxq.last_avail % rxq.size]]
+    assert rxq.corrupt_next_avail(addr=buf.addr + 0x10)
+    used = rxq.used_idx
+    stack.machine.client.send(stack.flow, 0, payload="empty")
+    stack.sim.run()
+    assert rxq.used_idx == used + 1  # the backend serviced the buffer
+    assert len(log) == 0
+    assert log.drain() == set()
+
+
 # ----------------------------------------------------------------------
 # Live migration
 # ----------------------------------------------------------------------
