@@ -52,7 +52,7 @@ scenarios-smoke:
 	PYTHONPATH=src python -m repro scenarios gen --count 20 --seed 1 > /tmp/scen_a.jsonl
 	PYTHONPATH=src python -m repro scenarios gen --count 20 --seed 1 > /tmp/scen_b.jsonl
 	diff /tmp/scen_a.jsonl /tmp/scen_b.jsonl
-	PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json > /tmp/scen_run_serial.json
+	PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json --jobs 1 > /tmp/scen_run_serial.json
 	PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json --jobs 2 > /tmp/scen_run_jobs.json
 	diff /tmp/scen_run_serial.json /tmp/scen_run_jobs.json
 	REPRO_FAST_FORWARD=0 PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json > /tmp/scen_run_noff.json

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from typing import Dict
@@ -129,12 +130,7 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
 
     def one(capture: bool) -> float:
         stack = build_stack(
-            StackConfig(
-                levels=2,
-                io_model="vp",
-                dvh=DvhFeatures.full(),
-                fast_forward=False,
-            )
+            StackConfig(levels=2, io_model="vp", dvh=DvhFeatures.full())
         )
         if capture:
             stack.machine.enable_request_capture(series="bench")
@@ -143,9 +139,17 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
         return perf_counter() - t0
 
     off = on = float("inf")
-    for _ in range(3):
-        off = min(off, one(False))
-        on = min(on, one(True))
+    prev = os.environ.get("REPRO_FAST_FORWARD")
+    os.environ["REPRO_FAST_FORWARD"] = "0"
+    try:
+        for _ in range(3):
+            off = min(off, one(False))
+            on = min(on, one(True))
+    finally:
+        if prev is None:
+            del os.environ["REPRO_FAST_FORWARD"]
+        else:
+            os.environ["REPRO_FAST_FORWARD"] = prev
     return {
         "txns": float(txns),
         "off_wall_s": off,

@@ -7,17 +7,15 @@ paper's row/series format.  Everything is deterministic.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.features import DvhFeatures
 from repro.core.migration import LiveMigration, MigrationNotSupported
 from repro.hv.stack import StackConfig, build_stack
-from repro.workloads.apps import app_names, run_app
+from repro.workloads.apps import app_names
 from repro.workloads.engines import AppResult
-from repro.workloads.microbench import MICROBENCHMARKS, run_microbenchmark
+from repro.workloads.microbench import MICROBENCHMARKS
 from repro.bench.configs import (
     FIG7_CONFIGS,
     FIG8_CONFIGS,
@@ -31,14 +29,10 @@ __all__ = [
     "Table3Result",
     "FigureResult",
     "MigrationRow",
+    "FIGURES",
     "run_table3",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
     "run_figure",
     "run_migration_experiment",
-    "fast_forward_override",
     "DEFAULT_SCALES",
 ]
 
@@ -47,26 +41,15 @@ __all__ = [
 #: configurations simulate fewer to bound wall-clock time.
 DEFAULT_SCALES: Dict[int, float] = {0: 0.4, 1: 0.4, 2: 0.4, 3: 0.15}
 
-
-@contextmanager
-def fast_forward_override(value: Optional[bool]):
-    """Force steady-state fast-forward on/off for every stack built in
-    the block (None = leave the ambient default alone).  Implemented via
-    the ``REPRO_FAST_FORWARD`` env var so ``map_cells`` worker processes
-    inherit it — results are byte-identical either way, this only picks
-    micro-stepping vs macro-events."""
-    if value is None:
-        yield
-        return
-    prev = os.environ.get("REPRO_FAST_FORWARD")
-    os.environ["REPRO_FAST_FORWARD"] = "1" if value else "0"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_FAST_FORWARD", None)
-        else:
-            os.environ["REPRO_FAST_FORWARD"] = prev
+#: Application figures: number -> (title, configurations).  Keys match
+#: :data:`repro.bench.configs.CONFIG_SETS`, which the cell workers use to
+#: rebuild a configuration from its index.
+FIGURES = {
+    "7": ("Figure 7: Application performance", FIG7_CONFIGS),
+    "8": ("Figure 8: Application performance breakdown", FIG8_CONFIGS),
+    "9": ("Figure 9: Application performance in L3 VM", FIG9_CONFIGS),
+    "10": ("Figure 10: Application performance, Xen on KVM", FIG10_CONFIGS),
+}
 
 
 @dataclass
@@ -105,170 +88,58 @@ def run_table3(
     benches: Optional[List[str]] = None,
     jobs: int = 1,
     seed: int = 0,
-    fast_forward: Optional[bool] = None,
 ) -> Table3Result:
     """Regenerate Table 3: microbenchmark cycle costs.
 
     ``jobs`` fans the (bench, config) cells over worker processes
     (0 = one per CPU); results are identical to a serial run.  ``seed``
     reseeds every cell's stack (same seed, same table).
-    ``fast_forward`` forces epoch skipping on/off for every cell (None =
-    ambient default); the cycle numbers are identical either way.
     """
-    with fast_forward_override(fast_forward):
-        benches = list(benches) if benches is not None else list(MICROBENCHMARKS)
-        result = Table3Result(configs=[name for name, _ in TABLE3_CONFIGS])
-        if jobs != 1:
-            tasks = [
-                (bench, i, iterations, seed)
-                for bench in benches
-                for i in range(len(TABLE3_CONFIGS))
-            ]
-            values = iter(map_cells(table3_cell, tasks, jobs))
-            for bench in benches:
-                result.cells[bench] = {
-                    name: next(values) for name, _ in TABLE3_CONFIGS
-                }
-            return result
-        for bench in benches:
-            row: Dict[str, float] = {}
-            for config_name, factory in TABLE3_CONFIGS:
-                stack = build_stack(replace(factory(), seed=seed))
-                row[config_name] = run_microbenchmark(stack, bench, iterations)
-            result.cells[bench] = row
-        return result
-
-
-# ----------------------------------------------------------------------
-def _run_app_figure(
-    title: str,
-    configs: List[Tuple[str, Callable[[], StackConfig]]],
-    apps: Optional[List[str]] = None,
-    scales: Optional[Dict[int, float]] = None,
-    jobs: int = 1,
-    configs_key: Optional[str] = None,
-    seed: int = 0,
-    fast_forward: Optional[bool] = None,
-) -> FigureResult:
-    scales = scales or DEFAULT_SCALES
-    apps = list(apps) if apps is not None else app_names()
-    result = FigureResult(title=title, configs=[n for n, _ in configs if n != "native"])
-    # Build each configuration once; the levels (for the uniform scale)
-    # and every per-app stack reuse the same validated StackConfig.
-    built = [(name, replace(factory(), seed=seed)) for name, factory in configs]
-    # One uniform scale per figure (the smallest across its levels), so
-    # elapsed-time workloads compare equal transaction counts and warmup
-    # edge effects cancel in the overhead ratio.
-    uniform_scale = min(scales.get(config.levels, 0.3) for _name, config in built)
-    with fast_forward_override(fast_forward):
-        if jobs != 1 and configs_key is not None:
-            tasks = [
-                (configs_key, i, app, uniform_scale, seed)
-                for app in apps
-                for i in range(len(configs))
-            ]
-            cells = map_cells(app_cell, tasks, jobs)
-        else:
-            cells = [
-                run_app(build_stack(config), app, scale=uniform_scale)
-                for app in apps
-                for _name, config in built
-            ]
-    it = iter(cells)
-    for app in apps:
-        native_result: Optional[AppResult] = None
-        row: Dict[str, float] = {}
-        for config_name, _config in built:
-            r = next(it)
-            if config_name == "native":
-                native_result = r
-                continue
-            assert native_result is not None, "native must come first"
-            row[config_name] = r.overhead_vs(native_result)
-        result.overheads[app] = row
-        if native_result is not None:
-            result.native[app] = native_result
+    benches = list(benches) if benches is not None else list(MICROBENCHMARKS)
+    result = Table3Result(configs=[name for name, _ in TABLE3_CONFIGS])
+    tasks = [
+        (bench, i, iterations, seed)
+        for bench in benches
+        for i in range(len(TABLE3_CONFIGS))
+    ]
+    values = iter(map_cells(table3_cell, tasks, jobs))
+    for bench in benches:
+        result.cells[bench] = {name: next(values) for name in result.configs}
     return result
 
 
-def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
-    """Application performance, six configurations (Figure 7)."""
-    return _run_app_figure(
-        "Figure 7: Application performance",
-        FIG7_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="7",
-        seed=seed,
-        fast_forward=fast_forward,
-    )
-
-
-def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
-    """Incremental DVH breakdown (Figure 8)."""
-    return _run_app_figure(
-        "Figure 8: Application performance breakdown",
-        FIG8_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="8",
-        seed=seed,
-        fast_forward=fast_forward,
-    )
-
-
-def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
-    """Application performance in an L3 VM (Figure 9)."""
-    return _run_app_figure(
-        "Figure 9: Application performance in L3 VM",
-        FIG9_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="9",
-        seed=seed,
-        fast_forward=fast_forward,
-    )
-
-
-def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
-    """Xen as guest hypervisor on KVM (Figure 10)."""
-    return _run_app_figure(
-        "Figure 10: Application performance, Xen on KVM",
-        FIG10_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="10",
-        seed=seed,
-        fast_forward=fast_forward,
-    )
-
-
+# ----------------------------------------------------------------------
 def run_figure(
-    which: str, apps=None, scales=None, jobs: int = 1, seed: int = 0,
-    fast_forward: Optional[bool] = None,
+    which: str, apps=None, scales=None, jobs: int = 1, seed: int = 0
 ) -> FigureResult:
-    """Dispatch by figure number ("7", "8", "9", "10")."""
-    runners = {
-        "7": run_figure7,
-        "8": run_figure8,
-        "9": run_figure9,
-        "10": run_figure10,
-    }
+    """Regenerate one application figure ("7", "8", "9" or "10"):
+    every app's overhead relative to native under each of the figure's
+    configurations.  ``jobs`` and ``seed`` act as for :func:`run_table3`.
+    """
     try:
-        return runners[str(which)](
-            apps=apps, scales=scales, jobs=jobs, seed=seed,
-            fast_forward=fast_forward,
-        )
+        title, configs = FIGURES[str(which)]
     except KeyError:
         raise ValueError(f"no such figure: {which}") from None
+    scales = scales or DEFAULT_SCALES
+    apps = list(apps) if apps is not None else app_names()
+    # One uniform scale per figure (the smallest across its levels), so
+    # elapsed-time workloads compare equal transaction counts and warmup
+    # edge effects cancel in the overhead ratio.
+    uniform_scale = min(scales.get(factory().levels, 0.3) for _n, factory in configs)
+    tasks = [
+        (str(which), i, app, uniform_scale, seed)
+        for app in apps
+        for i in range(len(configs))
+    ]
+    cells = iter(map_cells(app_cell, tasks, jobs))
+    result = FigureResult(title=title, configs=[n for n, _ in configs[1:]])
+    for app in apps:
+        # Every figure lists native first; the rest are relative to it.
+        native = result.native[app] = next(cells)
+        result.overheads[app] = {
+            name: next(cells).overhead_vs(native) for name in result.configs
+        }
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,20 @@ Usage (after ``pip install -e .``)::
     python -m repro cluster migrate --io vp --audit
     python -m repro study --json
 
-Every subcommand uniformly accepts ``--seed``, ``--no-fast-forward``,
-``--audit``, ``--jobs``, and ``--json`` (``--seed`` and
-``--no-fast-forward`` also work before the subcommand name): the same
-seed reproduces the same run bit for bit, with or without fast-forward
-and at any jobs count.
+Every subcommand accepts ``--seed`` and ``--no-fast-forward``, before
+or after its name: the same seed reproduces the same run bit for bit,
+with or without fast-forward.  ``--no-fast-forward`` sets
+``REPRO_FAST_FORWARD=0``, the one fast-forward switch.  The other shared
+flags exist only where the subcommand acts on them; anywhere else they
+are a usage error (exit 2):
+
+``--jobs N``  table3, figure, cluster sweep, dc sweep, study, scenarios run
+``--audit``   migration, micro, app, faults fuzz, faults plan, cluster demo,
+              cluster migrate, scenarios run
+``--json``    micro, app, cluster demo, cluster migrate, cluster sweep,
+              dc demo, dc run, dc sweep, slo, study, scenarios run
+
+Results are identical at any ``--jobs`` count.
 """
 
 from __future__ import annotations
@@ -67,13 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_args(p):
-        """The uniform flag set every subcommand accepts: --seed,
-        --no-fast-forward, --audit, --jobs, --json.  SUPPRESS defaults
-        keep a pre-subcommand `--seed N` / `--no-fast-forward` from
-        being clobbered when the flag follows the subcommand name.
-        Subcommands without parallel cells, auditing, or a JSON shape
-        simply ignore the unused flags."""
+    def add_global_args(p):
+        """--seed and --no-fast-forward, on every leaf as on the root.
+        SUPPRESS defaults keep a pre-subcommand `--seed N` /
+        `--no-fast-forward` from being clobbered by the leaf's own."""
         p.add_argument(
             "--seed", type=int, default=argparse.SUPPRESS, help="simulation seed"
         )
@@ -83,23 +89,30 @@ def build_parser() -> argparse.ArgumentParser:
             default=argparse.SUPPRESS,
             help="micro-step every event (no epoch skipping)",
         )
-        p.add_argument(
-            "--audit",
-            action="store_true",
-            help="arm the runtime invariant auditor (exit 1 on violations)",
-        )
+
+    def add_jobs_arg(p):
         p.add_argument(
             "--jobs",
             type=int,
             default=1,
             help="worker processes for independent cells (0 = one per CPU)",
         )
+
+    def add_audit_arg(p):
+        p.add_argument(
+            "--audit",
+            action="store_true",
+            help="arm the runtime invariant auditor (exit 1 on violations)",
+        )
+
+    def add_json_arg(p):
         p.add_argument(
             "--json", action="store_true", help="print machine-readable JSON"
         )
 
     t3 = sub.add_parser("table3", help="Table 3: microbenchmark cycles")
-    add_common_args(t3)
+    add_global_args(t3)
+    add_jobs_arg(t3)
 
     fig = sub.add_parser("figure", help="Figures 7/8/9/10: application overheads")
     fig.add_argument("number", choices=["7", "8", "9", "10"])
@@ -108,10 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument(
         "--chart", action="store_true", help="render as an ASCII bar chart"
     )
-    add_common_args(fig)
+    add_global_args(fig)
+    add_jobs_arg(fig)
 
     mig = sub.add_parser("migration", help="the Section 4 migration experiment")
-    add_common_args(mig)
+    add_global_args(mig)
+    add_audit_arg(mig)
 
     def add_stack_args(p):
         p.add_argument("--levels", type=int, default=2, choices=[0, 1, 2, 3, 4, 5])
@@ -141,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     micro.add_argument("--iterations", type=int, default=30)
     add_stack_args(micro)
     add_slo_arg(micro)
-    add_common_args(micro)
+    add_global_args(micro)
+    add_audit_arg(micro)
+    add_json_arg(micro)
 
     trace = sub.add_parser(
         "trace",
@@ -172,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the top N (level, reason, handler) sites by cycles",
     )
     add_stack_args(trace)
-    add_common_args(trace)
+    add_global_args(trace)
 
     analyze = sub.add_parser(
         "analyze", help="exit breakdown: why a workload is slow per config"
     )
     analyze.add_argument("name", choices=app_names())
     analyze.add_argument("--scale", type=float, default=0.25)
-    add_common_args(analyze)
+    add_global_args(analyze)
 
     app = sub.add_parser("app", help="one Table 2 application benchmark")
     app.add_argument("name", choices=app_names())
@@ -203,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_stack_args(app)
     add_slo_arg(app)
-    add_common_args(app)
+    add_global_args(app)
+    add_audit_arg(app)
+    add_json_arg(app)
 
     faults = sub.add_parser(
         "faults", help="fault injection: run a plan or a fuzz campaign"
@@ -228,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--verbose", action="store_true", help="print failing episodes' plans"
     )
-    add_common_args(fuzz)
+    add_global_args(fuzz)
+    add_audit_arg(fuzz)
 
     plan = fsub.add_parser(
         "plan", help="one seed-derived fault plan against one stack"
@@ -246,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", action="store_true", help="print the full exit/cycle report"
     )
     add_stack_args(plan)
-    add_common_args(plan)
+    add_global_args(plan)
+    add_audit_arg(plan)
 
     cluster = sub.add_parser(
         "cluster",
@@ -273,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="fabric fault classes to draw a seed-derived plan from",
         )
-        add_common_args(p)
+        add_global_args(p)
+        add_audit_arg(p)
+        add_json_arg(p)
 
     cdemo = csub.add_parser(
         "demo", help="boot a cluster, place a fleet, evacuate a host"
@@ -301,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="sweep placement policies across cluster sizes"
     )
     csweep.add_argument("--tenants", type=int, default=6)
-    add_common_args(csweep)
+    add_global_args(csweep)
+    add_jobs_arg(csweep)
+    add_json_arg(csweep)
 
     dc = sub.add_parser(
         "dc",
@@ -310,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dsub = dc.add_subparsers(dest="mode", required=True)
 
-    def add_dc_args(p, with_spec=True):
+    def add_dc_args(p, with_spec=True, with_slo=True):
         if with_spec:
             p.add_argument(
                 "--spec",
@@ -324,13 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="boot every host's stack eagerly instead of on first "
             "touch (byte-identical trace; only wall time changes)",
         )
-        p.add_argument(
-            "--slo",
-            action="store_true",
-            help="force-enable latency telemetry and the SLO gate even "
-            "when the spec's slo: block is absent or disabled",
-        )
-        add_common_args(p)
+        if with_slo:  # sweep cells reload the spec by name, as written
+            p.add_argument(
+                "--slo",
+                action="store_true",
+                help="force-enable latency telemetry and the SLO gate even "
+                "when the spec's slo: block is absent or disabled",
+            )
+        add_global_args(p)
+        add_json_arg(p)
 
     ddemo = dsub.add_parser(
         "demo",
@@ -346,15 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run one spec across a range of seeds"
     )
     dsweep.add_argument(
-        "--seeds", type=int, default=4, help="number of seeds (0..N-1)"
+        "--seeds", type=int, default=4, help="number of seeds, from --seed on"
     )
-    add_dc_args(dsweep)
+    add_dc_args(dsweep, with_slo=False)
+    add_jobs_arg(dsweep)
 
     dval = dsub.add_parser(
         "validate", help="parse and validate a spec file, print its shape"
     )
     dval.add_argument("--spec", default="small", help="spec name or path")
-    add_common_args(dval)
+    add_global_args(dval)
 
     slo = sub.add_parser(
         "slo",
@@ -370,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument(
         "--trace", action="store_true", help="print the full event trace"
     )
-    add_common_args(slo)
+    add_global_args(slo)
+    add_json_arg(slo)
 
     study = sub.add_parser(
         "study",
@@ -383,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a JSON study-matrix spec (default: the built-in "
         "full matrix; see examples/study_matrix.json)",
     )
-    add_common_args(study)
+    add_global_args(study)
+    add_jobs_arg(study)
+    add_json_arg(study)
 
     audit = sub.add_parser(
         "audit",
@@ -399,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--verbose", action="store_true", help="print per-scenario detail"
     )
-    add_common_args(audit)
+    add_global_args(audit)
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -419,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="restrict the architecture pool (default: all three)",
         )
-        add_common_args(p)
+        add_global_args(p)
 
     gen = scsub.add_parser(
         "gen",
@@ -432,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="generate AND run scenarios, checking invariants"
     )
     add_scenario_args(run_p)
+    add_jobs_arg(run_p)
+    add_audit_arg(run_p)
+    add_json_arg(run_p)
 
     shrink = scsub.add_parser(
         "shrink", help="greedily minimize one failing scenario"
@@ -466,7 +500,7 @@ def _stack_config(args) -> StackConfig:
 def _make_auditor(args):
     """An armed :class:`repro.audit.Auditor` when ``--audit`` was given,
     else None (the un-audited run stays byte-identical)."""
-    if not getattr(args, "audit", False):
+    if not args.audit:
         return None
     from repro.audit import Auditor
 
@@ -486,12 +520,10 @@ def _finish_audit(auditor) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if getattr(args, "no_fast_forward", False):
-        # Threaded like --seed: the env var is read at Simulator
-        # construction (and inherited by --jobs worker subprocesses),
-        # so every stack built below micro-steps.
-        import os
-
+    if args.no_fast_forward:
+        # The env var is read at Simulator construction (and inherited
+        # by --jobs worker subprocesses), so every stack built below
+        # micro-steps.
         os.environ["REPRO_FAST_FORWARD"] = "0"
 
     if args.command == "table3":
@@ -776,8 +808,7 @@ def _run_scenarios(args) -> int:
         return 0
 
     if args.mode == "run":
-        jobs = args.jobs if args.jobs != 1 else None
-        results = run_scenarios(specs, jobs=jobs, audit=args.audit)
+        results = run_scenarios(specs, jobs=args.jobs, audit=args.audit)
         if args.json:
             print(json.dumps(results, indent=2, sort_keys=True))
         else:
@@ -1020,7 +1051,7 @@ def _run_dc(args) -> int:
     if args.mode == "sweep":
         rows = run_sweep(
             getattr(args, "spec", "small"),
-            seeds=range(args.seeds),
+            seeds=range(args.seed, args.seed + args.seeds),
             jobs=args.jobs,
             quiescent=quiescent,
         )

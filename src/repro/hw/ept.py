@@ -12,20 +12,17 @@ parent-physical page frames with permissions.  The same structure backs:
 Mappings are stored as sorted *extents*: runs of consecutive pfns that
 map to consecutive target pfns with one permission.  The driver DMA
 pools every stack maps are a handful of long runs, so a table holding
-16,384 pages typically holds eight extents.  Per-page state is kept
-only where pages diverge from their extent: the dirty and accessed bits
-live in small per-table sets.  The table models *what* translates, not
-how long a walk takes; callers charge walk latency as flat costs (for
-example ``vp_nested_ept_walk``).
-
-Write-protection supports dirty logging for live migration.
+16,384 pages typically holds eight extents.  The table models *what*
+translates, not how long a walk takes; callers charge walk latency as
+flat costs (for example ``vp_nested_ept_walk``).  Dirty logging for live
+migration lives in :class:`repro.hw.mem.DirtyLog`, not here.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.hw.mem import PAGE_SHIFT
 
@@ -58,33 +55,19 @@ class Pte:
     :meth:`PageTable.entries` report it; changing it does not change the
     table."""
 
-    __slots__ = ("target_pfn", "perm", "saved_perm", "dirty", "accessed")
+    __slots__ = ("target_pfn", "perm")
 
-    def __init__(
-        self,
-        target_pfn: int,
-        perm: "Perm",
-        saved_perm: Optional["Perm"] = None,
-        dirty: bool = False,
-        accessed: bool = False,
-    ) -> None:
+    def __init__(self, target_pfn: int, perm: "Perm") -> None:
         self.target_pfn = target_pfn
         self.perm = perm
-        #: Original permission before write-protection for dirty logging.
-        self.saved_perm = saved_perm
-        self.dirty = dirty
-        self.accessed = accessed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Pte(target_pfn={self.target_pfn:#x}, perm={self.perm!r}, "
-            f"dirty={self.dirty})"
-        )
+        return f"Pte(target_pfn={self.target_pfn:#x}, perm={self.perm!r})"
 
 
-#: One extent: ``(count, target_pfn, perm, saved_perm)``; its first pfn
-#: sits at the same index of the parallel ``_starts`` list.
-_Extent = Tuple[int, int, Perm, Optional[Perm]]
+#: One extent: ``(count, target_pfn, perm)``; its first pfn sits at the
+#: same index of the parallel ``_starts`` list.
+_Extent = Tuple[int, int, Perm]
 
 
 class PageTable:
@@ -101,9 +84,6 @@ class PageTable:
         self._starts: List[int] = []
         self._exts: List[_Extent] = []
         self._count = 0
-        #: Per-page overlays: pages whose dirty / accessed bit is set.
-        self._dirty: Set[int] = set()
-        self._accessed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Storage primitives
@@ -120,50 +100,22 @@ class PageTable:
         i = self._find(pfn)
         if i < 0 or self._starts[i] == pfn:
             return
-        count, target, perm, saved = self._exts[i]
+        count, target, perm = self._exts[i]
         head = pfn - self._starts[i]
-        self._exts[i] = (head, target, perm, saved)
+        self._exts[i] = (head, target, perm)
         self._starts.insert(i + 1, pfn)
-        self._exts.insert(i + 1, (count - head, target + head, perm, saved))
-
-    def _isolate(self, pfn: int) -> int:
-        """Split mapped page ``pfn`` into an extent of its own; returns
-        that extent's index."""
-        self._split(pfn)
-        self._split(pfn + 1)
-        return self._find(pfn)
+        self._exts.insert(i + 1, (count - head, target + head, perm))
 
     def _merge(self, i: int) -> None:
         """Merge extent ``i`` with the neighbours it continues."""
         starts, exts = self._starts, self._exts
         for j in (i, i - 1):  # (i, i+1) first, so index i-1 stays valid
             if 0 <= j and j + 1 < len(starts):
-                c0, t0, p0, s0 = exts[j]
-                c1, t1, p1, s1 = exts[j + 1]
-                if (
-                    starts[j] + c0 == starts[j + 1]
-                    and t0 + c0 == t1
-                    and p0 == p1
-                    and s0 == s1
-                ):
-                    exts[j] = (c0 + c1, t0, p0, s0)
+                c0, t0, p0 = exts[j]
+                c1, t1, p1 = exts[j + 1]
+                if starts[j] + c0 == starts[j + 1] and t0 + c0 == t1 and p0 == p1:
+                    exts[j] = (c0 + c1, t0, p0)
                     del starts[j + 1], exts[j + 1]
-
-    @staticmethod
-    def _drop(flags: Set[int], pfn: int, count: int) -> None:
-        """Remove ``[pfn, pfn + count)`` from a per-page overlay set."""
-        if not flags:
-            return
-        if count < len(flags):
-            flags.difference_update(range(pfn, pfn + count))
-        else:
-            end = pfn + count
-            flags.difference_update([p for p in flags if pfn <= p < end])
-
-    def _forget(self, pfn: int, count: int) -> None:
-        """Drop the per-page overlay bits of ``[pfn, pfn + count)``."""
-        self._drop(self._dirty, pfn, count)
-        self._drop(self._accessed, pfn, count)
 
     def _map_range(self, pfn: int, count: int, target_pfn: int, perm: Perm) -> None:
         """Map ``pfn + i -> target_pfn + i`` for ``i < count`` with fresh
@@ -180,8 +132,7 @@ class PageTable:
         hi = bisect_left(starts, end)
         self._count += count - sum(e[0] for e in exts[lo:hi])
         starts[lo:hi] = [pfn]
-        exts[lo:hi] = [(count, target_pfn, perm, None)]
-        self._forget(pfn, count)
+        exts[lo:hi] = [(count, target_pfn, perm)]
         self._merge(lo)
 
     def _fill(self, pfn: int, count: int, target_pfn: int, perm: Perm) -> int:
@@ -244,10 +195,11 @@ class PageTable:
         """Remove a mapping; returns whether it existed."""
         if self._find(pfn) < 0:
             return False
-        i = self._isolate(pfn)
+        self._split(pfn)
+        self._split(pfn + 1)
+        i = self._find(pfn)
         del self._starts[i], self._exts[i]
         self._count -= 1
-        self._forget(pfn, 1)
         return True
 
     # ------------------------------------------------------------------
@@ -258,64 +210,23 @@ class PageTable:
         i = self._find(pfn)
         if i < 0:
             return None
-        _count, target, perm, saved = self._exts[i]
-        return Pte(
-            target + (pfn - self._starts[i]),
-            perm,
-            saved,
-            pfn in self._dirty,
-            pfn in self._accessed,
-        )
+        _count, target, perm = self._exts[i]
+        return Pte(target + (pfn - self._starts[i]), perm)
 
     def translate(self, pfn: int, access: Perm = Perm.R) -> int:
         """Translate with permission enforcement; raises EptViolation."""
         i = self._find(pfn)
         if i < 0:
             raise EptViolation(pfn, access, "not mapped")
-        _count, target, perm, _saved = self._exts[i]
+        _count, target, perm = self._exts[i]
         if access & ~perm:
             raise EptViolation(pfn, access, f"permission {perm!r}")
-        self._accessed.add(pfn)
-        if access & Perm.W:
-            self._dirty.add(pfn)
         return target + (pfn - self._starts[i])
 
     def translate_addr(self, addr: int, access: Perm = Perm.R) -> int:
         """Translate a byte address (page offset preserved)."""
         target_pfn = self.translate(addr >> PAGE_SHIFT, access)
         return (target_pfn << PAGE_SHIFT) | (addr & ((1 << PAGE_SHIFT) - 1))
-
-    # ------------------------------------------------------------------
-    # Dirty logging via write protection
-    # ------------------------------------------------------------------
-    def write_protect_all(self) -> int:
-        """Remove W from every mapping (start of a dirty-logging round).
-        Returns the number of pages protected."""
-        n = 0
-        for i, (count, target, perm, _saved) in enumerate(self._exts):
-            if perm & Perm.W:
-                self._exts[i] = (count, target, perm & ~Perm.W, perm)
-                self._drop(self._dirty, self._starts[i], count)
-                n += count
-        return n
-
-    def unprotect(self, pfn: int) -> None:
-        """Restore W on one page (after logging the dirty page)."""
-        i = self._find(pfn)
-        if i < 0 or self._exts[i][3] is None:
-            return
-        i = self._isolate(pfn)
-        count, target, _perm, saved = self._exts[i]
-        self._exts[i] = (count, target, saved, None)
-        self._dirty.add(pfn)
-        self._merge(i)
-
-    def dirty_pages(self) -> Iterator[int]:
-        """PFNs whose dirty bit is set, in pfn order."""
-        yield from sorted(self._dirty)
-
-    def clear_dirty(self) -> None:
-        self._dirty.clear()
 
     # ------------------------------------------------------------------
     # Iteration
@@ -332,7 +243,7 @@ class PageTable:
             start = starts[i]
             if end is not None and start >= end:
                 break
-            n, target, perm, _saved = exts[i]
+            n, target, perm = exts[i]
             lo = max(start, pfn)
             hi = start + n if end is None else min(start + n, end)
             if lo < hi:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -148,44 +149,89 @@ def test_analyze_command(capsys):
 
 
 # ----------------------------------------------------------------------
-# Flag parity: every leaf subcommand accepts the uniform flag set
+# Flag parity: every leaf accepts exactly the shared flags it acts on
 # ----------------------------------------------------------------------
-#: Minimal valid argv for every leaf subcommand the parser defines.
-LEAF_COMMANDS = [
-    ["table3"],
-    ["figure", "7"],
-    ["migration"],
-    ["micro", "Hypercall"],
-    ["trace"],
-    ["analyze", "hackbench"],
-    ["app", "hackbench"],
-    ["faults", "fuzz"],
-    ["faults", "plan"],
-    ["cluster", "demo"],
-    ["cluster", "migrate"],
-    ["cluster", "sweep"],
-    ["dc", "demo"],
-    ["dc", "run"],
-    ["dc", "sweep"],
-    ["dc", "validate"],
-    ["slo"],
-    ["study"],
-    ["audit"],
-]
+#: Every leaf subcommand the parser defines, and which of --jobs /
+#: --audit / --json its handler reads.  --seed and --no-fast-forward are
+#: global and checked on every leaf.
+LEAF_FLAGS = {
+    ("table3",): {"jobs"},
+    ("figure",): {"jobs"},
+    ("migration",): {"audit"},
+    ("micro",): {"audit", "json"},
+    ("trace",): set(),
+    ("analyze",): set(),
+    ("app",): {"audit", "json"},
+    ("faults", "fuzz"): {"audit"},
+    ("faults", "plan"): {"audit"},
+    ("cluster", "demo"): {"audit", "json"},
+    ("cluster", "migrate"): {"audit", "json"},
+    ("cluster", "sweep"): {"jobs", "json"},
+    ("dc", "demo"): {"json"},
+    ("dc", "run"): {"json"},
+    ("dc", "sweep"): {"jobs", "json"},
+    ("dc", "validate"): set(),
+    ("slo",): {"json"},
+    ("study",): {"jobs", "json"},
+    ("audit",): set(),
+    ("scenarios", "gen"): set(),
+    ("scenarios", "run"): {"jobs", "audit", "json"},
+    ("scenarios", "shrink"): set(),
+}
+#: Positional arguments a leaf needs in order to parse.
+POSITIONALS = {"figure": ["7"], "micro": ["Hypercall"], "analyze": ["hackbench"],
+               "app": ["hackbench"]}
 
 
-@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=lambda a: "-".join(a))
-def test_flag_parity_on_every_subcommand(argv):
-    args = build_parser().parse_args(
-        argv
-        + ["--seed", "7", "--no-fast-forward", "--audit", "--jobs", "3",
-           "--json"]
-    )
+def _argv(leaf):
+    return list(leaf) + POSITIONALS.get(leaf[0], [])
+
+
+LEAF_COMMANDS = [_argv(leaf) for leaf in LEAF_FLAGS]
+
+#: How each shared flag is passed, and the value it parses to.
+SHARED_FLAGS = {
+    "jobs": (["--jobs", "3"], 3),
+    "audit": (["--audit"], True),
+    "json": (["--json"], True),
+}
+
+
+def _leaf_parsers(parser):
+    """Yield (argv prefix, parser) for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = list(_leaf_parsers(sub))
+                if nested:
+                    for prefix, leaf in nested:
+                        yield [name] + prefix, leaf
+                else:
+                    yield [name], sub
+
+
+def test_leaf_table_covers_every_subcommand():
+    leaves = sorted(tuple(prefix) for prefix, _p in _leaf_parsers(build_parser()))
+    assert leaves == sorted(LEAF_FLAGS)
+
+
+@pytest.mark.parametrize("leaf", LEAF_FLAGS, ids=lambda leaf: "-".join(_argv(leaf)))
+def test_flag_parity_on_every_subcommand(leaf):
+    """An honoured flag parses; one the handler would ignore is a usage
+    error (exit 2) instead of being silently accepted."""
+    honoured = LEAF_FLAGS[leaf]
+    argv = _argv(leaf)
+    parser = build_parser()
+    args = parser.parse_args(argv + ["--seed", "7", "--no-fast-forward"])
     assert args.seed == 7
     assert args.no_fast_forward is True
-    assert args.audit is True
-    assert args.jobs == 3
-    assert args.json is True
+    for flag, (extra, value) in SHARED_FLAGS.items():
+        if flag in honoured:
+            assert getattr(parser.parse_args(argv + extra), flag) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + extra)
+            assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=lambda a: "-".join(a))

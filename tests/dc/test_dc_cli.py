@@ -83,9 +83,21 @@ def test_dc_sweep_table_and_json(capsys):
     assert "digest" in out and "pinned/wave" in out
 
 
+def test_dc_sweep_starts_at_seed(capsys):
+    assert main(["dc", "sweep", "--seed", "3", "--seeds", "1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["seed"] for r in rows] == [3]
+
+
 def test_dc_seed_before_subcommand_threads_through(capsys):
     assert main(["--seed", "1", "dc", "demo", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert main(["dc", "demo", "--seed", "1", "--json"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+def test_dc_sweep_rejects_slo_it_cannot_apply():
+    with pytest.raises(SystemExit) as exc:
+        main(["dc", "sweep", "--seeds", "1", "--slo"])
+    assert exc.value.code == 2

@@ -78,31 +78,6 @@ def test_entries_iteration_sorted():
     assert set(listed) == {5, 3, 1 << 20, 7}
 
 
-def test_dirty_bit_set_on_write_access():
-    ept = PageTable()
-    ept.map(0x10, 0x99, Perm.RW)
-    ept.translate(0x10, Perm.R)
-    assert list(ept.dirty_pages()) == []
-    ept.translate(0x10, Perm.W)
-    assert list(ept.dirty_pages()) == [0x10]
-    ept.clear_dirty()
-    assert list(ept.dirty_pages()) == []
-
-
-def test_write_protect_and_unprotect_cycle():
-    ept = PageTable()
-    ept.map(0x10, 0x99, Perm.RW)
-    ept.map(0x11, 0x9A, Perm.R)
-    protected = ept.write_protect_all()
-    assert protected == 1  # only the writable page
-    with pytest.raises(EptViolation):
-        ept.translate(0x10, Perm.W)
-    ept.unprotect(0x10)
-    assert ept.translate(0x10, Perm.W) == 0x99
-    # unprotect marks the page dirty (it was about to be written)
-    assert 0x10 in set(ept.dirty_pages())
-
-
 def test_compose_basic():
     inner = PageTable()  # L2 -> L1
     outer = PageTable()  # L1 -> host

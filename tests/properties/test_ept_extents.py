@@ -3,8 +3,8 @@ plain per-page ``dict`` reference model.
 
 Random sequences of operations run on both; after every step they must
 agree on translations (including which accesses raise
-:class:`EptViolation`), ``len()``, ``entries()``, ``dirty_pages()`` and
-the values the operations return.  PFNs are drawn from a small window so
+:class:`EptViolation`), ``len()``, ``entries()`` and the values the
+operations return.  PFNs are drawn from a small window so
 runs overlap, nest, abut and split extents often.
 """
 
@@ -40,20 +40,17 @@ ops = st.one_of(
     st.tuples(st.just("unmap"), pfns),
     st.tuples(st.just("translate"), pfns, accesses),
     st.tuples(st.just("translate"), pfns, st.just(Perm.W)),
-    st.tuples(st.just("write_protect_all")),
-    st.tuples(st.just("unprotect"), pfns),
-    st.tuples(st.just("clear_dirty")),
 )
 
 
 class Model:
-    """Per-page reference: pfn -> [target, perm, saved_perm, dirty, accessed]."""
+    """Per-page reference: pfn -> [target, perm]."""
 
     def __init__(self) -> None:
         self.pages = {}
 
     def map(self, pfn, target, perm):
-        self.pages[pfn] = [target, perm, None, False, False]
+        self.pages[pfn] = [target, perm]
 
     def map_if_absent(self, pfn, target, perm):
         if pfn in self.pages:
@@ -82,32 +79,7 @@ class Model:
             raise EptViolation(pfn, access, "not mapped")
         if access & ~entry[1]:
             raise EptViolation(pfn, access, f"permission {entry[1]!r}")
-        entry[4] = True
-        if access & Perm.W:
-            entry[3] = True
         return entry[0]
-
-    def write_protect_all(self):
-        n = 0
-        for entry in self.pages.values():
-            if entry[1] & Perm.W:
-                entry[2] = entry[1]
-                entry[1] = entry[1] & ~Perm.W
-                entry[3] = False
-                n += 1
-        return n
-
-    def unprotect(self, pfn):
-        entry = self.pages.get(pfn)
-        if entry is not None and entry[2] is not None:
-            entry[1], entry[2], entry[3] = entry[2], None, True
-
-    def clear_dirty(self):
-        for entry in self.pages.values():
-            entry[3] = False
-
-    def dirty_pages(self):
-        return [pfn for pfn in sorted(self.pages) if self.pages[pfn][3]]
 
 
 def outcome(fn, *args):
@@ -120,12 +92,8 @@ def outcome(fn, *args):
 
 def assert_agree(table, model):
     assert len(table) == len(model.pages)
-    listed = [
-        (pfn, [pte.target_pfn, pte.perm, pte.saved_perm, pte.dirty, pte.accessed])
-        for pfn, pte in table.entries()
-    ]
+    listed = [(pfn, [pte.target_pfn, pte.perm]) for pfn, pte in table.entries()]
     assert listed == sorted(model.pages.items())
-    assert list(table.dirty_pages()) == model.dirty_pages()
     # The storage itself: sorted, disjoint extents covering len() pages.
     extents = list(table.extents())
     assert sum(count for _pfn, count, _t, _p in extents) == len(table)

@@ -67,24 +67,6 @@ def test_compose_equals_sequential_translation(inner_map, outer_map):
                     pass
 
 
-@given(st.dictionaries(pfns, pfns, min_size=1, max_size=40))
-def test_write_protect_then_unprotect_restores(mapping):
-    table = PageTable()
-    for k, v in mapping.items():
-        table.map(k, v, Perm.RW)
-    protected = table.write_protect_all()
-    assert protected == len(mapping)
-    for k in mapping:
-        try:
-            table.translate(k, Perm.W)
-            assert False
-        except EptViolation:
-            pass
-        table.unprotect(k)
-        assert table.translate(k, Perm.W) == mapping[k]
-    assert set(table.dirty_pages()) == set(mapping)
-
-
 @given(st.lists(pfns, min_size=1, max_size=40, unique=True))
 def test_entries_iteration_complete_and_sorted(keys):
     table = PageTable()

@@ -102,3 +102,18 @@ def test_setup_cycles_excluded_from_wall_budget():
     result = run_scenario(spec, audit=True)
     assert result["outcome"] == "ok"
     assert result["violations"] == []
+
+
+def test_cli_jobs_one_runs_in_process(monkeypatch, capsys):
+    """`scenarios run --jobs 1` (the default) must not start a pool."""
+    import repro.bench.parallel as parallel
+    from repro.cli import main
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs 1 built a ProcessPoolExecutor")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    for argv in ([], ["--jobs", "1"]):
+        assert main(["scenarios", "run", "--count", "2", "--json"] + argv) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2

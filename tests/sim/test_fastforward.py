@@ -27,21 +27,29 @@ def _digest(stack):
     )
 
 
-def _stack(ff, **kw):
-    kw.setdefault("levels", 2)
-    kw.setdefault("io_model", "virtio")
-    kw.setdefault("dvh", DvhFeatures.full())
-    return build_stack(StackConfig(fast_forward=ff, **kw))
+@pytest.fixture
+def make_stack(monkeypatch):
+    """Build a stack with fast-forward forced on or off through
+    ``REPRO_FAST_FORWARD``, the one switch."""
+
+    def build(ff, **kw):
+        monkeypatch.setenv("REPRO_FAST_FORWARD", "1" if ff else "0")
+        kw.setdefault("levels", 2)
+        kw.setdefault("io_model", "virtio")
+        kw.setdefault("dvh", DvhFeatures.full())
+        return build_stack(StackConfig(**kw))
+
+    return build
 
 
 # ----------------------------------------------------------------------
 # Equivalence: byte-identical digests with fast-forward on vs off
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", ["Hypercall", "DevNotify", "ProgramTimer"])
-def test_table3_micro_ops_byte_identical(bench):
+def test_table3_micro_ops_byte_identical(bench, make_stack):
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff)
+        stack = make_stack(ff)
         cycles = run_microbenchmark(stack, bench, iterations=40)
         runs[ff] = (cycles, _digest(stack), stack.sim.ff.epochs_skipped)
     assert runs[True][:2] == runs[False][:2]
@@ -58,10 +66,10 @@ def test_table3_micro_ops_byte_identical(bench):
         (1, "virtio", DvhFeatures.none()),
     ],
 )
-def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh):
+def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh, make_stack):
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff, levels=levels, io_model=io_model, dvh=dvh)
+        stack = make_stack(ff, levels=levels, io_model=io_model, dvh=dvh)
         r = run_app(stack, "netperf_rr", scale=0.3)
         runs[ff] = (
             (r.value, r.elapsed_s, r.txns, tuple(r.latencies)),
@@ -72,8 +80,8 @@ def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh):
     assert runs[False][2] == 0
 
 
-def test_netperf_rr_steady_state_actually_skips():
-    stack = _stack(True)
+def test_netperf_rr_steady_state_actually_skips(make_stack):
+    stack = make_stack(True)
     run_app(stack, "netperf_rr", scale=0.5)
     ff = stack.sim.ff
     assert ff.detections >= 1
@@ -84,21 +92,20 @@ def test_netperf_rr_steady_state_actually_skips():
     assert stats["ff_macro_events"] == ff.macro_events
 
 
-def test_fuzz_campaign_digests_identical():
+def test_fuzz_campaign_digests_identical(monkeypatch):
     """100 episodes, every digest identical with fast-forward on vs off.
 
     Fault injection vetoes skipping, so this doubles as the guard that
     the fast-forward machinery never perturbs a run it cannot skip.
     """
-    from repro.bench.runner import fast_forward_override
     from repro.faults.fuzz import TrapChainFuzzer
 
     outcomes = {}
     for ff in (False, True):
-        with fast_forward_override(ff):
-            campaign = TrapChainFuzzer(
-                seed=11, episodes=100, replay_every=0, ops_per_worker=6
-            ).run()
+        monkeypatch.setenv("REPRO_FAST_FORWARD", "1" if ff else "0")
+        campaign = TrapChainFuzzer(
+            seed=11, episodes=100, replay_every=0, ops_per_worker=6
+        ).run()
         outcomes[ff] = [
             (e.digest, e.config_desc, tuple(e.violations))
             for e in campaign.episodes
@@ -142,21 +149,21 @@ def test_cluster_migrate_byte_identical(monkeypatch):
 # ----------------------------------------------------------------------
 # Invalidation: observers and aperiodic events stop macro-events
 # ----------------------------------------------------------------------
-def test_fault_injector_attached_vetoes_skipping():
+def test_fault_injector_attached_vetoes_skipping(make_stack):
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
 
-    stack = _stack(True)
+    stack = make_stack(True)
     FaultInjector(stack.machine, FaultPlan.empty(), seed=3).attach()
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.epochs_skipped == 0
     assert stack.sim.ff.invalidations.get("faults", 0) > 0
 
 
-def test_audit_attached_vetoes_skipping():
+def test_audit_attached_vetoes_skipping(make_stack):
     from repro.audit import Auditor
 
-    stack = _stack(True)
+    stack = make_stack(True)
     auditor = Auditor()
     auditor.attach_stack(stack)
     run_microbenchmark(stack, "Hypercall", iterations=40)
@@ -165,15 +172,15 @@ def test_audit_attached_vetoes_skipping():
     assert auditor.finish().ok
 
 
-def test_span_tracing_attached_vetoes_skipping():
-    stack = _stack(True)
+def test_span_tracing_attached_vetoes_skipping(make_stack):
+    stack = make_stack(True)
     stack.machine.enable_span_tracing()
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.epochs_skipped == 0
     assert stack.sim.ff.invalidations.get("spans", 0) > 0
 
 
-def test_hist_capture_rides_fast_forward_byte_identical():
+def test_hist_capture_rides_fast_forward_byte_identical(make_stack):
     """Histogram-only request capture joins the fingerprint and scales
     across skipped epochs: same tables, same latency list, byte for
     byte — and skipping really happened."""
@@ -184,7 +191,7 @@ def test_hist_capture_rides_fast_forward_byte_identical():
 
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff, io_model="vp")
+        stack = make_stack(ff, io_model="vp")
         stack.machine.enable_request_capture(series="rr")
         result = run_rr(stack, dataclasses.replace(NETPERF_RR, txns=200))
         runs[ff] = (
@@ -198,7 +205,7 @@ def test_hist_capture_rides_fast_forward_byte_identical():
     assert runs[False][3] == 0
 
 
-def test_record_retention_vetoes_skipping():
+def test_record_retention_vetoes_skipping(make_stack):
     """keep_records observes individual requests, so it must veto
     macro-events — with the 'request_records' cause on the books."""
     import dataclasses
@@ -206,7 +213,7 @@ def test_record_retention_vetoes_skipping():
     from repro.workloads.apps import NETPERF_RR
     from repro.workloads.engines import run_rr
 
-    stack = _stack(True, io_model="vp")
+    stack = make_stack(True, io_model="vp")
     cap = stack.machine.enable_request_capture(series="rr", keep_records=True)
     run_rr(stack, dataclasses.replace(NETPERF_RR, txns=60))
     assert stack.sim.ff.epochs_skipped == 0
@@ -214,7 +221,7 @@ def test_record_retention_vetoes_skipping():
     assert len(cap.records) == 60
 
 
-def test_open_loop_arrivals_not_skipped():
+def test_open_loop_arrivals_not_skipped(make_stack):
     """Poisson arrival gaps are RNG-drawn, never periodic: the engine
     must not treat an open-loop run as a steady state."""
     import dataclasses
@@ -222,7 +229,7 @@ def test_open_loop_arrivals_not_skipped():
     from repro.workloads.apps import NETPERF_RR
     from repro.workloads.engines import run_rr
 
-    stack = _stack(True, io_model="vp")
+    stack = make_stack(True, io_model="vp")
     run_rr(
         stack,
         dataclasses.replace(
@@ -232,14 +239,14 @@ def test_open_loop_arrivals_not_skipped():
     assert stack.sim.ff.epochs_skipped == 0
 
 
-def test_trace_digest_identical_under_span_veto():
+def test_trace_digest_identical_under_span_veto(make_stack):
     """An attached tracer sees the identical timeline either way (the
     veto forces micro-stepping, so no trace event is ever macro-hidden)."""
     from repro.sim.trace import Tracer
 
     digests = {}
     for ff in (False, True):
-        stack = _stack(ff)
+        stack = make_stack(ff)
         tracer = Tracer(stack.sim, capacity=100_000)
         stack.machine.enable_span_tracing(tracer=tracer)
         run_microbenchmark(stack, "ProgramTimer", iterations=30)
@@ -247,12 +254,12 @@ def test_trace_digest_identical_under_span_veto():
     assert digests[True] == digests[False]
 
 
-def test_migration_start_perturbs_and_vetoes():
+def test_migration_start_perturbs_and_vetoes(make_stack):
     """A live migration mid-run bumps the generation (dropping locked
     fingerprints) and vetoes workload skipping until it completes."""
     from repro.core.migration import LiveMigration
 
-    stack = _stack(True, io_model="vp")
+    stack = make_stack(True, io_model="vp")
     generation_before = stack.sim.ff.generation
     migration = LiveMigration(stack.machine, stack.leaf_vm)
     result = stack.sim.run_process(migration.run(), "migration")
@@ -295,8 +302,8 @@ def test_mid_epoch_perturbation_drops_fingerprint():
     assert sum(skipped) > 0
 
 
-def test_disabled_simulator_never_skips():
-    stack = _stack(False)
+def test_disabled_simulator_never_skips(make_stack):
+    stack = make_stack(False)
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.enabled is False
     assert stack.sim.ff.epochs_skipped == 0
