@@ -2,8 +2,8 @@
 
 This module is the architectural spine of the trap path.  Two pieces:
 
-* :class:`ExitContext` — a first-class trap frame created at the trap
-  site (``VCpu.execute``) and threaded **unmodified** through L0
+* :class:`ExitContext` — a first-class trap frame created on entry to
+  L0's ``dispatch_exit`` and threaded **unmodified** through L0
   dispatch, guest-hypervisor forwarding, re-entry, and the DVH
   emulation handlers.  It carries the exit-chain identity (a chain id
   shared by every exit a single guest operation ultimately causes), the
@@ -23,6 +23,16 @@ This module is the architectural spine of the trap path.  Two pieces:
 The registry carries no simulation state; one process-wide
 :data:`DEFAULT_REGISTRY` serves every machine.  All mutable per-chain
 state lives in the :class:`ExitContext`.
+
+Trap frames on demand: ``KvmHypervisor.dispatch_exit`` allocates the
+frame, not the trap site, and only when something will read it.  Every
+exit gets one when an observer is attached (``machine.spans`` or
+``machine.chain_tracker``).  Without one, a VMX-instruction exit from a
+level-1 vCPU — always L0-owned, its emulation reading only the
+:class:`~repro.hw.ops.Exit` — is priced frameless, with the same
+``Metrics`` calls and yields as the framed path; every other exit still
+gets a frame, because routing, DVH, OoH and forwarding read it.  Chain
+ids stay in step: a frameless root exit still draws one.
 """
 
 from __future__ import annotations
@@ -62,9 +72,9 @@ OwnershipClaim = Callable[[Any, Exit], int]
 class ExitContext:
     """The trap frame of one hardware VM exit.
 
-    Lifecycle: created at the trap site, passed by reference through the
-    whole dispatch (never copied, never rebuilt at a forwarding hop), and
-    closed when L0 re-enters the guest.  A privileged operation executed
+    Lifecycle: created on entry to L0 dispatch, passed by reference
+    through the whole dispatch (never copied, never rebuilt at a
+    forwarding hop), and closed when L0 re-enters the guest.  A privileged operation executed
     *by a handler* while this frame is live traps into a **child**
     context: same ``chain_id``, ``depth + 1`` — which is exactly the
     paper's exit multiplication, made observable.

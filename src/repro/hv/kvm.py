@@ -12,9 +12,10 @@ One class plays both roles of the paper's terminology:
   the mechanism — not a formula — that produces exit multiplication.
 
 The dispatch machinery itself lives in :mod:`repro.hv.dispatch`: every
-hardware exit arrives here wrapped in an
-:class:`~repro.hv.dispatch.ExitContext` (the trap frame created at the
-trap site in :meth:`repro.hv.vm.VCpu.execute`), routing consults the
+hardware exit taken in :meth:`repro.hv.vm.VCpu.execute` arrives at
+:meth:`KvmHypervisor.dispatch_exit`, which wraps it in an
+:class:`~repro.hv.dispatch.ExitContext` trap frame when the exit needs
+one (see the "trap frames on demand" note there), routing consults the
 :class:`~repro.hv.dispatch.ExitHandlerRegistry` (where each DVH feature
 registered its ownership claim), and the reason-specific emulation is
 performed by the module-level handler functions below, registered per
@@ -54,6 +55,9 @@ from repro.hw.vmx import (
 
 __all__ = ["KvmHypervisor"]
 
+#: Bound once: the frameless-path test in dispatch_exit runs on every exit.
+_VMX_INSTRUCTION = ExitReason.VMX_INSTRUCTION
+
 
 class KvmHypervisor:
     """KVM at any virtualization level (level 0 = the host hypervisor)."""
@@ -63,12 +67,6 @@ class KvmHypervisor:
     profile: ClassVar[HypervisorProfile] = KVM_PROFILE
     #: The registry exits are routed and dispatched through.
     registry: ClassVar[ExitHandlerRegistry] = DEFAULT_REGISTRY
-
-    #: Legacy aliases into the profile (kept for tests and callers that
-    #: predate hv.profiles).
-    OP_COUNTS: ClassVar[Dict[ExitReason, Tuple[int, int]]] = KVM_PROFILE.op_counts
-    SHADOWED_ACCESSES: ClassVar[int] = KVM_PROFILE.shadowed_accesses
-    WAKE_OPS: ClassVar[Tuple[int, int]] = KVM_PROFILE.wake_ops
 
     def __init__(
         self,
@@ -150,22 +148,47 @@ class KvmHypervisor:
     # ==================================================================
     # L0: exit dispatch
     # ==================================================================
-    def dispatch_exit(
-        self, vcpu: VCpu, exit_: Exit, ectx: Optional[ExitContext] = None
-    ) -> Generator:
+    def dispatch_exit(self, vcpu: VCpu, exit_: Exit) -> Generator:
         """Entry point for every hardware VM exit (L0 only, §2).
 
-        ``ectx`` is the trap frame created at the trap site; direct
-        callers (tests, softirq paths) may omit it and get a fresh root
-        frame.  The frame travels the whole dispatch unmodified — the
-        span it carries closes exactly when L0 re-enters the guest.
+        Allocates the exit's trap frame, a child of the frame live on
+        ``vcpu`` (if any), which travels the whole dispatch unmodified;
+        the span it carries closes exactly when L0 re-enters the guest.
+
+        Trap frames on demand (see :mod:`repro.hv.dispatch`): with no
+        observer attached, a VMX-instruction exit from a level-1 vCPU —
+        always L0's, its emulation reading only the exit — is priced
+        here without a frame, a handler generator or a registry lookup,
+        making the same ``Metrics`` calls and the same yields as the
+        framed path.  These exits, a guest hypervisor's trapped
+        VMREAD/VMWRITE/VMRESUMEs, are the bulk of exit multiplication.
         """
         assert self.level == 0, "only the host hypervisor takes hardware exits"
-        if ectx is None:
-            ectx = ExitContext(exit_, vcpu, None, self.machine)
         c = self.costs
         metrics = self.metrics
+        machine = self.machine
         reason_name = exit_.reason._value_
+        if (
+            vcpu.level == 1
+            and exit_.reason is _VMX_INSTRUCTION
+            and machine.spans is None
+            and machine.chain_tracker is None
+        ):
+            if vcpu.exit_context is None:
+                machine.new_chain_id()  # a root exit opens a chain
+            metrics.record_exit(1, reason_name)
+            metrics.charge("hw_switch", c.hw_exit)
+            metrics.charge("l0_emul", c.l0_dispatch)
+            yield c.hw_exit + c.l0_dispatch
+            cycles = _vmx_emulation_cycles(c, exit_.op)
+            metrics.charge("l0_emul", cycles)
+            yield cycles
+            result = _vmx_emulation_effect(self, exit_)
+            metrics.record_l0_handled(reason_name)
+            metrics.charge("hw_switch", c.hw_entry)
+            yield c.hw_entry
+            return result
+        ectx = ExitContext(exit_, vcpu, vcpu.exit_context, machine)
         try:
             metrics.record_exit(vcpu.level, reason_name)
             ectx.charge("hw_switch", c.hw_exit)
@@ -177,7 +200,7 @@ class KvmHypervisor:
                 ectx.charge("l0_emul", c.dvh_route_check)
                 yield c.dvh_route_check
             owner = self.registry.route(vcpu, exit_)
-            ooh = self.machine.ooh
+            ooh = machine.ooh
             if ooh is not None and vcpu.level >= 2:
                 # OoH attribution: every exit whose reason a configured
                 # grant gates is counted granted or forwarded — revoked
@@ -194,7 +217,7 @@ class KvmHypervisor:
                         ectx.granted = True
                         ectx.charge("ooh_emul", c.ooh_grant_check)
                         yield c.ooh_grant_check
-            tracker = self.machine.chain_tracker
+            tracker = machine.chain_tracker
             if owner == 0:
                 handler, dvh_capable = self.registry.l0_handler(exit_.reason)
                 dvh_used = vcpu.level >= 2 and dvh_capable and not ectx.granted
@@ -224,46 +247,44 @@ class KvmHypervisor:
             else:
                 ectx.charge("l0_emul", c.forward_state_save)
                 yield c.forward_state_save
-            return (yield from self._deliver(vcpu, exit_, owner, 1, ectx))
+            return (yield from self._deliver(vcpu, exit_, owner, ectx))
         finally:
-            if ectx.span is not None and self.machine.spans is not None:
-                self.machine.spans.close(ectx)
+            if ectx.span is not None and machine.spans is not None:
+                machine.spans.close(ectx)
 
     def _deliver(
-        self, vcpu: VCpu, exit_: Exit, owner: int, via: int, ectx: ExitContext
+        self, vcpu: VCpu, exit_: Exit, owner: int, ectx: ExitContext
     ) -> Generator:
-        """Reflect an exit into the guest hypervisor at ``via``; recurse
-        one level at a time until the owner handles it (§2: "the L0
+        """Reflect an exit into the guest hypervisors one level at a time,
+        from level 1 up, until the owner handles it (§2: "the L0
         hypervisor ... will forward it to the L1 hypervisor, which will
-        forward it to the L2 hypervisor via the L0 hypervisor")."""
-        c = self.costs
-        ectx.charge("hw_switch", c.hw_entry)
-        yield c.hw_entry  # enter the via-level hypervisor's context
-        hv = self._hv_at(via)
-        ctx = vcpu.chain_vcpu(via)
-        ectx.note_hop()
-        # The via-level handler runs as guest code on ``ctx`` while this
-        # frame is live: its trapping ops become child frames of this
-        # exit chain.
-        saved = ctx.exit_context
-        ctx.exit_context = ectx
-        try:
-            if via == owner:
-                ectx.handler = hv.name
-                return (yield from hv.handle_guest_exit(ctx, exit_, ectx))
-            yield from hv.reinject_exit(ctx, exit_, ectx)
-        finally:
-            ctx.exit_context = saved
-        return (yield from self._deliver(vcpu, exit_, owner, via + 1, ectx))
+        forward it to the L2 hypervisor via the L0 hypervisor").
 
-    # ------------------------------------------------------------------
-    # Routing: who owns this exit?
-    # ------------------------------------------------------------------
-    def _route(self, vcpu: VCpu, exit_: Exit) -> int:
-        """Return the level of the hypervisor that must handle the exit
-        (0 = L0 handles directly).  Thin shim over the registry, whose
-        ownership claims were registered by the DVH feature modules."""
-        return self.registry.route(vcpu, exit_)
+        A loop rather than a recursion per hop: every yield of the
+        owner's handler passes through this frame, so each extra hop
+        would otherwise add a generator frame to all of them."""
+        c = self.costs
+        stack = self.machine.hv_stack
+        via = 1
+        while True:
+            ectx.charge("hw_switch", c.hw_entry)
+            yield c.hw_entry  # enter the via-level hypervisor's context
+            hv = stack[via]
+            ctx = vcpu.chain_vcpu(via)
+            ectx.note_hop()
+            # The via-level handler runs as guest code on ``ctx`` while
+            # this frame is live: its trapping ops become child frames of
+            # this exit chain.
+            saved = ctx.exit_context
+            ctx.exit_context = ectx
+            try:
+                if via == owner:
+                    ectx.handler = hv.name
+                    return (yield from hv.handle_guest_exit(ctx, exit_, ectx))
+                yield from hv.reinject_exit(ctx, exit_, ectx)
+            finally:
+                ctx.exit_context = saved
+            via += 1
 
     # ==================================================================
     # L0: timer plumbing (shared by the L0 and guest timer handlers)
@@ -621,15 +642,30 @@ def _l0_ept_violation(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.VMX_INSTRUCTION)
-def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
-    """Emulate a VMX instruction executed by a guest hypervisor."""
-    c = hv.costs
-    op = ectx.exit_.op
-    info = ectx.exit_.info
-    if op in (Op.VMREAD, Op.VMWRITE):
-        ectx.charge("l0_emul", c.emul_vmcs_access)
-        yield c.emul_vmcs_access
+def _vmx_emulation_cycles(c, op: Op) -> int:
+    """Cycles L0 spends emulating VMX instruction ``op`` for a guest
+    hypervisor.  With :func:`_vmx_emulation_effect` this is the whole
+    emulation body, shared by the framed handler (:func:`_l0_vmx`) and
+    the frameless path in :meth:`KvmHypervisor.dispatch_exit`."""
+    if op is Op.VMREAD or op is Op.VMWRITE:
+        return c.emul_vmcs_access
+    if op is Op.VMPTRLD:
+        return c.emul_vmptrld
+    if op is Op.VMRESUME or op is Op.VMLAUNCH:
+        # The expensive part of nested virtualization: merging the guest
+        # hypervisor's vmcs12 into the VMCS L0 actually runs with.
+        return c.emul_vmresume_merge
+    return c.emul_trivial
+
+
+def _vmx_emulation_effect(hv: KvmHypervisor, exit_: Exit) -> Any:
+    """Apply a VMX instruction's effect once its emulation cycles have
+    elapsed: the VMCS read or write, or the VMRESUME merge with its
+    posted-interrupt sync (which must see interrupts posted meanwhile).
+    Returns the VMREAD result, else None."""
+    op = exit_.op
+    info = exit_.info
+    if op is Op.VMREAD or op is Op.VMWRITE:
         vmcs: Optional[Vmcs] = info.get("vmcs")
         fieldname: Optional[VmcsField] = info.get("field")
         if vmcs is not None and fieldname is not None:
@@ -638,15 +674,7 @@ def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
                 return None
             return vmcs.read(fieldname)
         return None
-    if op is Op.VMPTRLD:
-        ectx.charge("l0_emul", c.emul_vmptrld)
-        yield c.emul_vmptrld
-        return None
-    if op in (Op.VMRESUME, Op.VMLAUNCH):
-        # The expensive part of nested virtualization: merge the guest
-        # hypervisor's vmcs12 into the VMCS L0 actually runs with.
-        ectx.charge("l0_emul", c.emul_vmresume_merge)
-        yield c.emul_vmresume_merge
+    if op is Op.VMRESUME or op is Op.VMLAUNCH:
         target: Optional[VCpu] = info.get("target_vcpu")
         if target is not None and target.level >= 2:
             target.merged_vmcs.merge_from(target.vmcs, hv._host_controls())
@@ -655,10 +683,16 @@ def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
             )
             # Hardware syncs pending posted interrupts on VM entry.
             target.pi_desc.sync_to(target.lapic)
-        return None
-    ectx.charge("l0_emul", c.emul_trivial)
-    yield c.emul_trivial
     return None
+
+
+@DEFAULT_REGISTRY.register_l0(ExitReason.VMX_INSTRUCTION)
+def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
+    """Emulate a VMX instruction executed by a guest hypervisor."""
+    cycles = _vmx_emulation_cycles(hv.costs, ectx.exit_.op)
+    ectx.charge("l0_emul", cycles)
+    yield cycles
+    return _vmx_emulation_effect(hv, ectx.exit_)
 
 
 @DEFAULT_REGISTRY.register_l0(ExitReason.APIC_TIMER, dvh_capable=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.hv.dispatch import ExitContext
 from repro.hw.cpu import ExecutionContext, PhysicalCpu
 from repro.hw.ept import PageTable
 from repro.hw.lapic import Lapic, TIMER_VECTOR
@@ -234,17 +233,17 @@ class VCpu(ExecutionContext):
             return None
 
         # --- Full trap path -----------------------------------------
-        # The trap site: each trapping operation gets a trap frame
-        # (ExitContext) here and carries it, unmodified, through L0
-        # dispatch, forwarding, and guest-hypervisor re-entry.  A frame
-        # created while a handler's frame is live on this vCPU is a child
-        # of the same exit chain.
+        # The trap site: each of the ``count`` operations is one hardware
+        # exit and one dispatch_exit call.  The exit is immutable, so one
+        # serves them all.  The host allocates the trap frame
+        # (ExitContext) when the exit needs one; a frame allocated while
+        # a handler's frame is live on this vCPU is a child of the same
+        # exit chain.
         result = None
-        machine = self.vm.machine
+        exit_ = self._make_exit(op, info)
+        dispatch = self.vm.machine.host_hv.dispatch_exit
         for _ in range(count):
-            exit_ = self._make_exit(op, info)
-            ectx = ExitContext(exit_, self, self.exit_context, machine)
-            result = yield from self.host_hv.dispatch_exit(self, exit_, ectx)
+            result = yield from dispatch(self, exit_)
         return result
 
     def _make_exit(self, op: Op, info: dict) -> Exit:

@@ -1,8 +1,8 @@
 """Span-level cycle attribution over the exit-dispatch boundary.
 
 A :class:`Span` covers exactly one dispatch of one hardware exit: it
-opens when the :class:`repro.hv.dispatch.ExitContext` is created at the
-trap site and closes when L0 re-enters the guest.  Exits taken *by a
+opens when the :class:`repro.hv.dispatch.ExitContext` is created on
+entry to L0's ``dispatch_exit`` and closes when L0 re-enters the guest.  Exits taken *by a
 guest hypervisor's handler* while a span is open become child spans —
 the span tree of a chain is the paper's exit multiplication, cycle by
 cycle.

@@ -8,7 +8,10 @@ workload through every stack in :mod:`repro.bench.configs` (every
 Table-3 / Figure-7/8/9/10 cell), plus L4/L5 super-nesting stacks and the
 Xen guest-hypervisor profile, and compares the resulting
 exits/forwards/L0-handled/DVH-handled counters against goldens captured
-from the pre-refactor dispatcher.
+from the pre-refactor dispatcher.  ``test_frame_choice_parity``
+additionally checks that pricing level-1 VMX-instruction exits without a
+trap frame is unobservable: the full metrics snapshot and the clock must
+match a run that a chain tracker forces onto the framed path.
 
 Regenerate the goldens **only** when deliberately changing simulated
 behavior:
@@ -26,7 +29,11 @@ import pytest
 
 from repro.bench.configs import CONFIG_SETS
 from repro.core.features import DvhFeatures
+from repro.faults.chains import ChainTracker
+from repro.hv import kvm
+from repro.hv.dispatch import ExitContext
 from repro.hv.stack import StackConfig, build_stack
+from repro.hw.ops import ExitReason
 from repro.workloads.microbench import run_microbenchmark
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_dispatch_parity.json")
@@ -57,9 +64,11 @@ def parity_configs() -> List[Tuple[str, StackConfig]]:
     return out
 
 
-def exit_counters(config: StackConfig) -> Dict[str, Dict[str, int]]:
-    """Build the stack, drive the standard op mix, return its counters."""
-    stack = build_stack(config)
+def drive_op_mix(stack, config: StackConfig, light: bool = False) -> None:
+    """Settle a built stack, then drive the standard op mix through it.
+
+    ``light`` runs each op once, which still walks every forwarding
+    chain the full mix does."""
     stack.settle()
     if config.levels >= 5:
         # L5 exit multiplication makes every op astronomically expensive
@@ -68,11 +77,17 @@ def exit_counters(config: StackConfig) -> Dict[str, Dict[str, int]]:
         run_microbenchmark(stack, "Hypercall", 1)
         run_microbenchmark(stack, "ProgramTimer", 1)
     else:
-        run_microbenchmark(stack, "Hypercall", 5)
-        run_microbenchmark(stack, "ProgramTimer", 5)
+        run_microbenchmark(stack, "Hypercall", 1 if light else 5)
+        run_microbenchmark(stack, "ProgramTimer", 1 if light else 5)
         if getattr(stack.net, "device", None) is not None:
-            run_microbenchmark(stack, "DevNotify", 3)
-        run_microbenchmark(stack, "SendIPI", 2)
+            run_microbenchmark(stack, "DevNotify", 1 if light else 3)
+        run_microbenchmark(stack, "SendIPI", 1 if light else 2)
+
+
+def exit_counters(config: StackConfig) -> Dict[str, Dict[str, int]]:
+    """Build the stack, drive the standard op mix, return its counters."""
+    stack = build_stack(config)
+    drive_op_mix(stack, config)
     m = stack.metrics
     return {
         "exits": {f"{lvl}|{r}": n for (lvl, r), n in sorted(m.exits.items())},
@@ -100,6 +115,58 @@ def test_dispatch_parity(label: str, config: StackConfig) -> None:
     golden = _GOLDENS.get(label)
     assert golden is not None, f"no golden for {label!r}: regenerate goldens"
     assert exit_counters(config) == golden
+
+
+class _CountingFrame(ExitContext):
+    """ExitContext that counts its allocations."""
+
+    allocated = 0
+
+    def __init__(self, *args, **kwargs) -> None:
+        type(self).allocated += 1
+        super().__init__(*args, **kwargs)
+
+
+def _frame_choice_configs() -> List[Tuple[str, StackConfig]]:
+    # L5 is left out to keep tier-1 time down; L4 (with the light mix)
+    # covers the same recursive forwarding and recursive-DVH chains.
+    return [(l, c) for l, c in parity_configs() if c.levels < 5]
+
+
+@pytest.mark.parametrize(
+    "label,config",
+    _frame_choice_configs(),
+    ids=[l for l, _ in _frame_choice_configs()],
+)
+def test_frame_choice_parity(label: str, config: StackConfig, monkeypatch) -> None:
+    """Trap frames on demand must be unobservable.
+
+    The op mix runs twice: once bare, where level-1 VMX-instruction
+    exits are priced without a trap frame, and once with a chain
+    tracker attached, which forces a frame onto every exit.  The full
+    metrics snapshot (cycles included) and the simulated clock must
+    match, and frames must be allocated exactly where the rule says.
+    """
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "0")
+    monkeypatch.setattr(kvm, "ExitContext", _CountingFrame)
+    monkeypatch.setattr(_CountingFrame, "allocated", 0)
+    light = config.levels >= 4
+    bare = build_stack(config)
+    drive_op_mix(bare, config, light)
+    bare_frames = _CountingFrame.allocated
+
+    framed = build_stack(config)
+    tracker = framed.machine.chain_tracker = ChainTracker()
+    drive_op_mix(framed, config, light)
+
+    assert framed.metrics.snapshot() == bare.metrics.snapshot()
+    assert framed.sim.now == bare.sim.now
+    total = bare.metrics.total_exits()
+    assert sum(tracker.exits.values()) == total
+    frameless = bare.metrics.exits.get((1, ExitReason.VMX_INSTRUCTION.value), 0)
+    assert bare_frames == total - frameless
+    if config.levels >= 2:
+        assert frameless > 0
 
 
 def test_goldens_cover_every_config() -> None:
